@@ -3,6 +3,11 @@
 Conventions: logs go to stderr, data to stdout or files; exit code 0 means
 success, 1 internal failure, 2 user/format error. All randomness funnels
 through --seed so reruns are byte-identical.
+
+A setting resolves as: explicit flag, then --config file key, then
+$STYLE_SEAM_DATASET (dataset root only), then the flag's default, which for
+the truncation and optimizer settings is the TruncationConfig / TrainConfig
+field default.
 """
 
 from __future__ import annotations
@@ -12,10 +17,9 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, replace
 from pathlib import Path
 
-from . import corpus, evaluation, features, model as model_mod, tokenization
+from . import corpus, evaluation, features, model as model_mod
 from .corpus import Difficulty
 from .errors import StyleSeamError, UsageError
 from .model import EnsembleMode, TrainConfig
@@ -30,147 +34,123 @@ VOCABULARY_FILENAME = "vocabulary.json"
 PREDICTIONS_FILENAME = "predictions.ndjson"
 REPORT_FILENAME = "report.json"
 
+DIFFICULTIES = ("easy", "medium", "hard", "all")
+STRATEGIES = tuple(s.value for s in TruncationStrategy)
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One command invocation's resolved settings."""
-
-    dataset_root: Path | None
-    difficulty: str
-    split: str
-    truncation: TruncationConfig
-    train: TrainConfig
-    stopword_file: Path | None
-    out_dir: Path | None
-
-
-# Built-in defaults; explicit CLI flags win, then config-file keys, then these.
-CONFIG_DEFAULTS: dict[str, object] = {
-    "dataset_root": None,
-    "difficulty": "all",
-    "split": "train",
-    "strategy": TruncationStrategy.TRANSITION.value,
-    "budget": 512,
-    "seed": 5000,
-    "peak_lr": 0.1,
-    "epochs": 5,
-    "batch_size": 4,
-    "warmup_ratio": 0.1,
-    "stopwords": None,
+# The keys a --config file may hold: each is the dest of the flag it stands
+# in for, mapped to the JSON type or the choices that flag accepts.
+CONFIG_KEYS: dict[str, type | tuple[str, ...]] = {
+    "dataset_root": str,
+    "difficulty": DIFFICULTIES,
+    "split": corpus.SPLITS,
+    "strategy": STRATEGIES,
+    "budget": int,
+    "seed": int,
+    "peak_lr": float,
+    "epochs": int,
+    "batch_size": int,
+    "warmup_ratio": float,
+    "stopwords": str,
 }
 
 
-def _difficulties(cfg: RunConfig) -> list[Difficulty]:
-    if cfg.difficulty == "all":
-        return [Difficulty.EASY, Difficulty.MEDIUM, Difficulty.HARD]
-    return [Difficulty(cfg.difficulty)]
+def _difficulties(args: argparse.Namespace) -> list[Difficulty]:
+    if args.difficulty == "all":
+        return list(Difficulty)
+    return [Difficulty(args.difficulty)]
 
 
-def _single_difficulty(cfg: RunConfig) -> Difficulty:
-    if cfg.difficulty == "all":
+def _single_difficulty(args: argparse.Namespace) -> Difficulty:
+    if args.difficulty == "all":
         raise UsageError("this command needs a single difficulty, not 'all'")
-    return Difficulty(cfg.difficulty)
+    return Difficulty(args.difficulty)
 
 
-def _dataset_root(cfg: RunConfig) -> Path:
-    if cfg.dataset_root is None:
-        raise UsageError(
-            f"no dataset root given; pass --dataset-root or set {DATASET_ENV_VAR}"
-        )
-    if not cfg.dataset_root.is_dir():
-        raise FileNotFoundError(f"dataset root not found: {cfg.dataset_root}")
-    return cfg.dataset_root
+def _out_dir(args: argparse.Namespace) -> Path:
+    args.out.mkdir(parents=True, exist_ok=True)
+    return args.out
 
 
-def _out_dir(cfg: RunConfig) -> Path:
-    if cfg.out_dir is None:
-        raise UsageError("this command needs --out")
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    return cfg.out_dir
+def _given(args: argparse.Namespace, *keys: str) -> dict[str, object]:
+    """The settings among `keys` that a flag or config key supplied."""
+    return {key: getattr(args, key) for key in keys if getattr(args, key, None) is not None}
 
 
-def _truncated_pair(pair: corpus.ParagraphPair, cfg: TruncationConfig) -> corpus.ParagraphPair:
-    """Apply the configured token-budget truncation to one pair's texts.
-
-    Pairs already within budget pass through with their original text, so
-    character-level features are unaffected unless truncation actually bites.
-    """
-    left = tokenization.tokenize(pair.left)
-    right = tokenization.tokenize(pair.right)
-    if len(left) + len(right) <= cfg.budget:
-        return pair
-    left, right = tokenization.truncate(left, right, cfg)
-    return replace(pair, left=" ".join(left), right=" ".join(right))
+def _truncation(args: argparse.Namespace) -> TruncationConfig:
+    return TruncationConfig(**_given(args, "budget", "strategy"))
 
 
-def _load_labeled_split(root: Path, difficulty: Difficulty, split: str):
-    directory = corpus.split_directory(root, difficulty, split)
+def _train_config(args: argparse.Namespace) -> TrainConfig:
+    return TrainConfig(**_given(args, "peak_lr", "epochs", "batch_size", "warmup_ratio", "seed"))
+
+
+def _load_split(
+    args: argparse.Namespace, difficulty: Difficulty, labeled: bool
+) -> tuple[list[corpus.Document], list[corpus.TruthRecord] | None]:
+    """Documents of one split, plus its truth records if `labeled`; an empty split is an error."""
+    if args.dataset_root is None:
+        raise UsageError(f"no dataset root given; pass --dataset-root or set {DATASET_ENV_VAR}")
+    if not args.dataset_root.is_dir():
+        raise FileNotFoundError(f"dataset root not found: {args.dataset_root}")
+    directory = corpus.split_directory(args.dataset_root, difficulty, args.split)
     docs = corpus.load_documents(directory, difficulty)
     if not docs:
         raise UsageError(f"no documents found in {directory}")
-    truths = corpus.load_truth(directory)
-    return docs, truths
+    return docs, corpus.load_truth(directory) if labeled else None
 
 
-def cmd_stats(cfg: RunConfig) -> int:
+def _write_predictions(records: list[model_mod.PredictionRecord], out: Path) -> int:
+    model_mod.save_predictions(records, out / PREDICTIONS_FILENAME)
+    written = evaluation.write_solutions(records, out)
+    logger.info("wrote %d records and %d solution files to %s", len(records), written, out)
+    return 0
+
+
+def cmd_stats(args: argparse.Namespace) -> int:
     """Per-split document/pair/label counts as JSON (stdout) and a table (stderr)."""
-    root = _dataset_root(cfg)
     payload: dict[str, dict[str, dict[str, int | None]]] = {}
-    for difficulty in _difficulties(cfg):
-        directory = corpus.split_directory(root, difficulty, cfg.split)
-        docs = corpus.load_documents(directory, difficulty)
-        if not docs:
-            raise UsageError(f"no documents found in {directory}")
-        truths = corpus.load_truth(directory)
+    for difficulty in _difficulties(args):
+        docs, truths = _load_split(args, difficulty, labeled=True)
         if truths:
-            pairs = corpus.build_pairs(docs, truths)
-            stats = corpus.compute_stats(pairs, document_count=len(docs))
+            stats = corpus.compute_stats(corpus.build_pairs(docs, truths), document_count=len(docs))
             zeros: int | None = stats.zeros_count
             ones: int | None = stats.ones_count
             pair_count = stats.pair_count
+            labels = f"zeros {zeros}, ones {ones}"
         else:
             zeros = ones = None
             pair_count = sum(len(d.paragraphs) - 1 for d in docs)
-        payload.setdefault(difficulty.value, {})[cfg.split] = {
-            "documents": len(docs),
-            "pairs": pair_count,
-            "zeros": zeros,
-            "ones": ones,
+            labels = "unlabeled"
+        payload[difficulty.value] = {
+            args.split: {"documents": len(docs), "pairs": pair_count, "zeros": zeros, "ones": ones}
         }
-        if zeros is None:
-            print(f"{difficulty}/{cfg.split}: docs {len(docs)}, pairs {pair_count}, unlabeled", file=sys.stderr)
-        else:
-            print(
-                f"{difficulty}/{cfg.split}: docs {len(docs)}, pairs {pair_count}, "
-                f"zeros {zeros}, ones {ones}",
-                file=sys.stderr,
-            )
+        print(f"{difficulty}/{args.split}: docs {len(docs)}, pairs {pair_count}, {labels}", file=sys.stderr)
     print(json.dumps(payload, indent=2))
     return 0
 
 
-def cmd_train(cfg: RunConfig) -> int:
+def cmd_train(args: argparse.Namespace) -> int:
     """Fit vocabulary and linear model on a labeled split; write both artifacts."""
-    if cfg.split == "test":
+    if args.split == "test":
         raise UsageError("cannot train on the unlabeled test split")
-    root = _dataset_root(cfg)
-    difficulty = _single_difficulty(cfg)
-    out = _out_dir(cfg)
+    truncation = _truncation(args)
+    train_config = _train_config(args)
+    difficulty = _single_difficulty(args)
+    out = _out_dir(args)
 
-    docs, truths = _load_labeled_split(root, difficulty, cfg.split)
+    docs, truths = _load_split(args, difficulty, labeled=True)
     pairs = corpus.build_pairs(docs, truths)
     if not pairs:
         raise UsageError("selected split yields no paragraph pairs")
-    stopwords = features.load_stopwords(cfg.stopword_file)
+    stopwords = features.load_stopwords(args.stopwords)
     vocab = features.fit_vocabulary(
         [paragraph for doc in docs for paragraph in doc.paragraphs], stopwords
     )
     logger.info("fitted vocabulary: %d terms over %d paragraphs", vocab.size, vocab.document_count)
 
-    truncated = [_truncated_pair(p, cfg.truncation) for p in pairs]
-    vectors = [features.pair_features(p, vocab) for p in truncated]
+    vectors = features.featurize(pairs, vocab, truncation)
     labels = [p.label for p in pairs]
-    trained = model_mod.train_linear_svm(vectors, labels, cfg.train)
+    trained = model_mod.train_linear_svm(vectors, labels, train_config)
 
     objective = model_mod.hinge_objective(trained, vectors, labels)
     correct = sum(
@@ -192,116 +172,74 @@ def cmd_train(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_predict(cfg: RunConfig, model_file: Path, vocab_file: Path | None) -> int:
+def cmd_predict(args: argparse.Namespace) -> int:
     """Run a trained model over a split; write predictions and solution files."""
-    root = _dataset_root(cfg)
-    difficulty = _single_difficulty(cfg)
-    out = _out_dir(cfg)
-    if vocab_file is None:
-        vocab_file = model_file.parent / VOCABULARY_FILENAME
+    truncation = _truncation(args)
+    difficulty = _single_difficulty(args)
+    out = _out_dir(args)
 
-    trained = model_mod.load_model(model_file)
-    vocab = features.load_vocabulary(vocab_file)
+    trained = model_mod.load_model(args.model)
+    vocab = features.load_vocabulary(args.vocab or args.model.parent / VOCABULARY_FILENAME)
     expected = 2 * (vocab.size + features.HANDCRAFTED_WIDTH)
     if trained.dimension != expected:
         raise UsageError(
             f"model dimension {trained.dimension} does not match vocabulary-derived {expected}"
         )
 
-    directory = corpus.split_directory(root, difficulty, cfg.split)
-    docs = corpus.load_documents(directory, difficulty)
-    if not docs:
-        raise UsageError(f"no documents found in {directory}")
+    docs, _ = _load_split(args, difficulty, labeled=False)
     pairs = corpus.build_pairs(docs, None)
-
-    records = []
-    for pair in pairs:
-        vec = features.pair_features(_truncated_pair(pair, cfg.truncation), vocab)
-        records.append(
-            model_mod.predict(trained, vec, doc_id=pair.doc_id, pair_index=pair.pair_index)
-        )
-    model_mod.save_predictions(records, out / PREDICTIONS_FILENAME)
-    written = evaluation.write_solutions(records, out)
-    logger.info("wrote %d records and %d solution files to %s", len(records), written, out)
-    return 0
+    vectors = features.featurize(pairs, vocab, truncation)
+    records = [
+        model_mod.predict(trained, vec, doc_id=pair.doc_id, pair_index=pair.pair_index)
+        for pair, vec in zip(pairs, vectors)
+    ]
+    return _write_predictions(records, out)
 
 
-def cmd_random_baseline(cfg: RunConfig) -> int:
+def cmd_random_baseline(args: argparse.Namespace) -> int:
     """Seeded coin-flip predictions for a split, in the same output layout."""
-    root = _dataset_root(cfg)
-    difficulty = _single_difficulty(cfg)
-    out = _out_dir(cfg)
-    directory = corpus.split_directory(root, difficulty, cfg.split)
-    docs = corpus.load_documents(directory, difficulty)
-    if not docs:
-        raise UsageError(f"no documents found in {directory}")
-    pairs = corpus.build_pairs(docs, None)
-    records = model_mod.random_baseline(pairs, cfg.train.seed)
-    model_mod.save_predictions(records, out / PREDICTIONS_FILENAME)
-    written = evaluation.write_solutions(records, out)
-    logger.info("wrote %d records and %d solution files to %s", len(records), written, out)
-    return 0
+    seed = _train_config(args).seed
+    difficulty = _single_difficulty(args)
+    out = _out_dir(args)
+    docs, _ = _load_split(args, difficulty, labeled=False)
+    records = model_mod.random_baseline(corpus.build_pairs(docs, None), seed)
+    return _write_predictions(records, out)
 
 
-def cmd_evaluate(pred_dir: Path, truth_dir: Path, label: str, out_dir: Path | None, per_document: bool) -> int:
+def cmd_evaluate(args: argparse.Namespace) -> int:
     """Score solution files against truth files; JSON to stdout, table to stderr."""
-    gold = {t.doc_id: list(t.changes) for t in corpus.load_truth(truth_dir)}
+    gold = {t.doc_id: list(t.changes) for t in corpus.load_truth(args.truth_dir)}
     if not gold:
-        raise UsageError(f"no truth files found in {truth_dir}")
-    predicted = evaluation.read_solutions(pred_dir)
-    entry = evaluation.macro_f1(gold, predicted, per_document=per_document)
-    report = {label: entry}
+        raise UsageError(f"no truth files found in {args.truth_dir}")
+    predicted = evaluation.read_solutions(args.pred_dir)
+    entry = evaluation.macro_f1(gold, predicted, per_document=args.per_document)
+    report = {args.difficulty: entry}
     print(evaluation.format_report_table(report), file=sys.stderr)
     text = evaluation.report_to_json(report)
     print(text)
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / REPORT_FILENAME).write_text(text + "\n", encoding="utf-8")
+    if args.out is not None:
+        args.out.mkdir(parents=True, exist_ok=True)
+        (args.out / REPORT_FILENAME).write_text(text + "\n", encoding="utf-8")
     return 0
 
 
-def cmd_ensemble(files: list[Path], mode: EnsembleMode, out_dir: Path) -> int:
+def cmd_ensemble(args: argparse.Namespace) -> int:
     """Combine prediction files; write the merged exchange-format file."""
-    member_lists = [model_mod.load_external_predictions(path) for path in files]
-    combined = model_mod.ensemble(member_lists, mode)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    model_mod.save_predictions(combined, out_dir / PREDICTIONS_FILENAME)
-    logger.info("wrote %d combined records to %s", len(combined), out_dir / PREDICTIONS_FILENAME)
+    member_lists = [model_mod.load_external_predictions(path) for path in args.files]
+    combined = model_mod.ensemble(member_lists, args.mode)
+    out = _out_dir(args)
+    model_mod.save_predictions(combined, out / PREDICTIONS_FILENAME)
+    logger.info("wrote %d combined records to %s", len(combined), out / PREDICTIONS_FILENAME)
     return 0
 
 
-def cmd_solutions(predictions_file: Path, out_dir: Path) -> int:
+def cmd_solutions(args: argparse.Namespace) -> int:
     """Turn an exchange-format predictions file into per-document solution files."""
-    records = model_mod.load_external_predictions(predictions_file)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = evaluation.write_solutions(records, out_dir)
-    logger.info("wrote %d solution files to %s", written, out_dir)
+    records = model_mod.load_external_predictions(args.predictions_file)
+    out = _out_dir(args)
+    written = evaluation.write_solutions(records, out)
+    logger.info("wrote %d solution files to %s", written, out)
     return 0
-
-
-def _add_dataset_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--dataset-root",
-        type=Path,
-        default=None,
-        help=f"dataset root directory (default: ${DATASET_ENV_VAR})",
-    )
-    parser.add_argument("--difficulty", choices=["easy", "medium", "hard", "all"], default=None)
-    parser.add_argument("--split", choices=list(corpus.SPLITS), default=None)
-
-
-def _add_truncation_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--strategy", choices=[s.value for s in TruncationStrategy], default=None
-    )
-    parser.add_argument("--budget", type=int, default=None, help="total token budget per pair")
-
-
-def _add_train_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--peak-lr", type=float, default=None)
-    parser.add_argument("--epochs", type=int, default=None)
-    parser.add_argument("--batch-size", type=int, default=None)
-    parser.add_argument("--warmup-ratio", type=float, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -309,143 +247,95 @@ def build_parser() -> argparse.ArgumentParser:
         prog="styleseam",
         description="Paragraph-level writing style change detection toolkit",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="seed for all randomness (default 5000)")
-    common.add_argument("--config", type=Path, default=None, help="JSON config file for any of the flags")
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", type=Path, help="JSON file of settings keyed by flag name, '_' for '-'")
+    dataset = argparse.ArgumentParser(add_help=False)
+    dataset.add_argument(
+        "--dataset-root",
+        type=Path,
+        default=os.environ.get(DATASET_ENV_VAR) or None,
+        help=f"dataset root directory (default: ${DATASET_ENV_VAR})",
+    )
+    dataset.add_argument("--difficulty", choices=DIFFICULTIES, default="all")
+    dataset.add_argument("--split", choices=corpus.SPLITS, default="train")
+    truncation = argparse.ArgumentParser(add_help=False)
+    truncation.add_argument("--strategy", type=TruncationStrategy, choices=STRATEGIES)
+    truncation.add_argument(
+        "--budget", type=int, help=f"total token budget per pair (default {TruncationConfig.budget})"
+    )
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, help=f"seed for all randomness (default {TrainConfig.seed})")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("stats", parents=[common], help="dataset document/pair/label counts")
-    _add_dataset_args(p)
-    p.set_defaults(func=_run_stats)
+    def command(name, func, *parents):
+        p = sub.add_parser(name, parents=list(parents), help=func.__doc__, description=func.__doc__)
+        p.set_defaults(func=func, parser=p)
+        return p
 
-    p = sub.add_parser("train", parents=[common], help="fit vocabulary and linear model on a labeled split")
-    _add_dataset_args(p)
-    _add_truncation_args(p)
-    _add_train_args(p)
-    p.add_argument("--stopwords", type=Path, default=None, help="stopword file (default: bundled list)")
+    command("stats", cmd_stats, config, dataset)
+
+    p = command("train", cmd_train, config, dataset, truncation, seed)
+    p.add_argument("--peak-lr", type=float)
+    p.add_argument("--epochs", type=int)
+    p.add_argument("--batch-size", type=int)
+    p.add_argument("--warmup-ratio", type=float)
+    p.add_argument("--stopwords", type=Path, help="stopword file (default: bundled list)")
     p.add_argument("--out", type=Path, required=True, help="output directory for model artifacts")
-    p.set_defaults(func=_run_train)
 
-    p = sub.add_parser("predict", parents=[common], help="run a trained model over a split")
-    _add_dataset_args(p)
-    _add_truncation_args(p)
+    p = command("predict", cmd_predict, config, dataset, truncation)
     p.add_argument("--model", type=Path, required=True, help="model file from train")
-    p.add_argument("--vocab", type=Path, default=None, help="vocabulary file (default: next to model)")
+    p.add_argument("--vocab", type=Path, help="vocabulary file (default: next to model)")
     p.add_argument("--out", type=Path, required=True)
-    p.set_defaults(func=_run_predict)
 
-    p = sub.add_parser("random-baseline", parents=[common], help="seeded uniform random predictions for a split")
-    _add_dataset_args(p)
+    p = command("random-baseline", cmd_random_baseline, config, dataset, seed)
     p.add_argument("--out", type=Path, required=True)
-    p.set_defaults(func=_run_random_baseline)
 
-    p = sub.add_parser("evaluate", parents=[common], help="score solution files against truth files")
+    p = command("evaluate", cmd_evaluate)
     p.add_argument("pred_dir", type=Path, help="directory of solution-problem-<N>.json files")
     p.add_argument("truth_dir", type=Path, help="directory of truth-problem-<N>.json files")
     p.add_argument("--difficulty", default="all", help="label for the report entry")
     p.add_argument("--per-document", action="store_true", help="average F1 per document (diagnostic)")
-    p.add_argument("--out", type=Path, default=None, help="directory for report.json")
-    p.set_defaults(func=_run_evaluate)
+    p.add_argument("--out", type=Path, help="directory for report.json")
 
-    p = sub.add_parser("ensemble", parents=[common], help="combine prediction files")
+    p = command("ensemble", cmd_ensemble)
     p.add_argument("files", nargs="+", type=Path)
-    p.add_argument("--mode", choices=[m.value for m in EnsembleMode], required=True)
+    p.add_argument("--mode", type=EnsembleMode, choices=list(EnsembleMode), required=True)
     p.add_argument("--out", type=Path, required=True)
-    p.set_defaults(func=_run_ensemble)
 
-    p = sub.add_parser("solutions", parents=[common], help="convert a predictions file to solution files")
+    p = command("solutions", cmd_solutions)
     p.add_argument("predictions_file", type=Path)
     p.add_argument("--out", type=Path, required=True)
-    p.set_defaults(func=_run_solutions)
 
     return parser
 
 
-def _load_config_file(path: Path | None) -> dict[str, object]:
-    if path is None:
-        return {}
+def _config_values(path: Path, args: argparse.Namespace) -> dict[str, object]:
+    """The values of a config file for the settings this command has.
+
+    Keys of other commands' settings are skipped, so one file can serve
+    several commands; unknown keys and mistyped values are errors.
+    """
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise UsageError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
-    unknown = sorted(set(raw) - set(CONFIG_DEFAULTS))
+    unknown = sorted(set(raw) - set(CONFIG_KEYS))
     if unknown:
         raise UsageError(f"config file {path} has unknown keys: {unknown}")
-    return raw
-
-
-def _run_config(args: argparse.Namespace) -> RunConfig:
-    file_values = _load_config_file(getattr(args, "config", None))
-
-    def resolve(key: str):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            return flag
-        if key in file_values:
-            return file_values[key]
-        if key == "dataset_root":
-            return os.environ.get(DATASET_ENV_VAR)
-        return CONFIG_DEFAULTS[key]
-
-    dataset_root = resolve("dataset_root")
-    stopwords = resolve("stopwords")
-    difficulty = str(resolve("difficulty"))
-    split = str(resolve("split"))
-    if difficulty not in ("easy", "medium", "hard", "all"):
-        raise UsageError(f"unknown difficulty {difficulty!r}")
-    if split not in corpus.SPLITS:
-        raise UsageError(f"unknown split {split!r}")
-    try:
-        return RunConfig(
-            dataset_root=Path(dataset_root) if dataset_root else None,
-            difficulty=difficulty,
-            split=split,
-            truncation=TruncationConfig(
-                budget=int(resolve("budget")),
-                strategy=TruncationStrategy(str(resolve("strategy"))),
-            ),
-            train=TrainConfig(
-                peak_lr=float(resolve("peak_lr")),
-                epochs=int(resolve("epochs")),
-                batch_size=int(resolve("batch_size")),
-                warmup_ratio=float(resolve("warmup_ratio")),
-                seed=int(resolve("seed")),
-            ),
-            stopword_file=Path(stopwords) if stopwords else None,
-            out_dir=getattr(args, "out", None),
-        )
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"invalid configuration value: {exc}") from exc
-
-
-def _run_stats(args: argparse.Namespace) -> int:
-    return cmd_stats(_run_config(args))
-
-
-def _run_train(args: argparse.Namespace) -> int:
-    return cmd_train(_run_config(args))
-
-
-def _run_predict(args: argparse.Namespace) -> int:
-    return cmd_predict(_run_config(args), args.model, args.vocab)
-
-
-def _run_random_baseline(args: argparse.Namespace) -> int:
-    return cmd_random_baseline(_run_config(args))
-
-
-def _run_evaluate(args: argparse.Namespace) -> int:
-    return cmd_evaluate(args.pred_dir, args.truth_dir, args.difficulty, args.out, args.per_document)
-
-
-def _run_ensemble(args: argparse.Namespace) -> int:
-    return cmd_ensemble(args.files, EnsembleMode(args.mode), args.out)
-
-
-def _run_solutions(args: argparse.Namespace) -> int:
-    return cmd_solutions(args.predictions_file, args.out)
+    values = {}
+    for key, value in raw.items():
+        if not hasattr(args, key):
+            continue
+        spec = CONFIG_KEYS[key]
+        if isinstance(spec, tuple):
+            if not isinstance(value, str) or value not in spec:
+                raise UsageError(f"config file {path}: {key} must be one of {list(spec)}, got {value!r}")
+        elif isinstance(value, bool) or not isinstance(value, (int, float) if spec is float else spec):
+            raise UsageError(f"config file {path}: {key} must be {spec.__name__}, got {value!r}")
+        values[key] = float(value) if spec is float else value
+    return values
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -453,6 +343,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "config", None) is not None:
+            # Config values become the command's defaults, so explicit flags still win.
+            args.parser.set_defaults(**_config_values(args.config, args))
+            args = parser.parse_args(argv)
         return args.func(args)
     except (StyleSeamError, OSError) as exc:
         logger.error("%s", exc)

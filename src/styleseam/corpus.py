@@ -126,6 +126,13 @@ def _scan_directory(directory: Path) -> tuple[dict[int, Path], dict[int, Path]]:
     return problems, truths
 
 
+def _read_problem(path: Path) -> str:
+    try:
+        return path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not valid UTF-8: {exc}") from exc
+
+
 def load_documents(directory: str | Path, difficulty: Difficulty) -> list[Document]:
     """Load all problem-<N>.txt files in `directory`, ordered by ascending N.
 
@@ -136,11 +143,7 @@ def load_documents(directory: str | Path, difficulty: Difficulty) -> list[Docume
     documents = []
     for doc_id in sorted(problems):
         path = problems[doc_id]
-        try:
-            text = path.read_text(encoding="utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"{path} is not valid UTF-8: {exc}") from exc
-        paragraphs = split_paragraphs(text)
+        paragraphs = split_paragraphs(_read_problem(path))
         if not paragraphs:
             raise FormatError(f"{path} contains no nonempty paragraphs")
         documents.append(Document(id=doc_id, difficulty=difficulty, paragraphs=paragraphs))
@@ -169,7 +172,7 @@ def load_truth(directory: str | Path) -> list[TruthRecord]:
     """Load all truth-problem-<N>.json files, ordered by ascending N.
 
     When the sibling problem-<N>.txt exists, the changes length is checked
-    against its paragraph count.
+    against its paragraph count; an undecodable sibling is a FormatError.
     """
     problems, truth_files = _scan_directory(Path(directory))
     records = []
@@ -177,7 +180,7 @@ def load_truth(directory: str | Path) -> list[TruthRecord]:
         record = _parse_truth(truth_files[doc_id], doc_id)
         sibling = problems.get(doc_id)
         if sibling is not None:
-            n_paragraphs = len(split_paragraphs(sibling.read_text(encoding="utf-8")))
+            n_paragraphs = len(split_paragraphs(_read_problem(sibling)))
             if len(record.changes) != n_paragraphs - 1:
                 raise FormatError(
                     f"document {doc_id}: {len(record.changes)} changes for "

@@ -10,15 +10,19 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
+# tokenize/truncate are looked up on the module at call time, so wrappers
+# installed on its attributes (as the tracing benchmark does) see each call.
+from . import tokenization
 from .corpus import ParagraphPair
 from .errors import FormatError, UsageError
+from .tokenization import TruncationConfig
 
 _WORD_RE = re.compile(r"[^\W_]+")
 
@@ -182,6 +186,27 @@ def pair_features(pair: ParagraphPair, vocab: Vocabulary) -> SparseFeatureVector
         values=np.array(left_val + right_val, dtype=np.float64),
         dimension=2 * block,
     )
+
+
+def featurize(
+    pairs: Iterable[ParagraphPair], vocab: Vocabulary, truncation: TruncationConfig
+) -> list[SparseFeatureVector]:
+    """Truncate each pair to the token budget, then extract its pair features.
+
+    This is the one featurization path of training and prediction. Pairs
+    within budget keep their original text, so character-level features are
+    unaffected unless truncation actually bites; a cut pair is featurized
+    from the space-joined tokens that truncation keeps.
+    """
+    truncated = []
+    for pair in pairs:
+        left = tokenization.tokenize(pair.left)
+        right = tokenization.tokenize(pair.right)
+        if len(left) + len(right) > truncation.budget:
+            left, right = tokenization.truncate(left, right, truncation)
+            pair = replace(pair, left=" ".join(left), right=" ".join(right))
+        truncated.append(pair)
+    return [pair_features(pair, vocab) for pair in truncated]
 
 
 def save_vocabulary(vocab: Vocabulary, path: str | Path) -> None:

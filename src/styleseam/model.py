@@ -364,8 +364,16 @@ def load_model(path: str | Path) -> LinearModel:
         raise FormatError(f"unsupported model version {payload.get('version')!r}")
     try:
         weights = np.zeros(int(payload["dimension"]))
+        seen: set[int] = set()
         for index, value in payload["weights"]:
-            weights[int(index)] = float(value)
+            if isinstance(index, bool) or not isinstance(index, int):
+                raise FormatError(f"model file {path} has a non-integer weight index {index!r}")
+            if index < 0:
+                raise FormatError(f"model file {path} has a negative weight index {index}")
+            if index in seen:
+                raise FormatError(f"model file {path} repeats weight index {index}")
+            seen.add(index)
+            weights[index] = float(value)
         model = LinearModel(weights=weights, bias=float(payload["bias"]), l2=float(payload["lambda"]))
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise FormatError(f"model file {path} is malformed: {exc}") from exc

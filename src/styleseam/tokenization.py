@@ -107,7 +107,7 @@ def truncate(left: TokenSeq, right: TokenSeq, cfg: TruncationConfig) -> tuple[To
     return truncate_longest_first(left, right, cfg)
 
 
-def assemble_pair_input(left: TokenSeq, right: TokenSeq, budget: int = 512) -> PairInput:
+def assemble_pair_input(left: TokenSeq, right: TokenSeq, budget: int = TruncationConfig.budget) -> PairInput:
     """Frame a (left, right) token pair as [CLS] left [SEP] right [SEP].
 
     The combined side length must already respect `budget`; run truncation

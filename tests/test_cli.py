@@ -313,6 +313,112 @@ class TestConfigFile:
         code, _ = run_cli(capsys, "stats", "--config", config)
         assert code == 2
 
+    def test_non_utf8_file_is_exit_2(self, capsys, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_bytes(b"\xff\xfe{}")
+        code, _ = run_cli(capsys, "stats", "--config", config)
+        assert code == 2
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            {"epochs": 2.7, "seed": True},
+            {"epochs": 2.7},
+            {"seed": True},
+            {"budget": "16"},
+            {"peak_lr": "0.1"},
+            {"difficulty": "extreme"},
+            {"strategy": "middle"},
+            {"stopwords": None},
+        ],
+    )
+    def test_mistyped_value_is_exit_2(self, capsys, pan_fixture, tmp_path, values):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"dataset_root": str(pan_fixture), "difficulty": "easy", **values}))
+        code, _ = run_cli(capsys, "train", "--config", config, "--out", tmp_path / "model")
+        assert code == 2
+        assert not (tmp_path / "model").exists()
+
+    def test_other_commands_keys_are_not_checked(self, capsys, pan_fixture, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"dataset_root": str(pan_fixture), "difficulty": "easy", "epochs": 0}))
+        code, out = run_cli(capsys, "stats", "--config", config)
+        assert code == 0
+        assert json.loads(out)["easy"]["train"]["pairs"] == 7
+
+    def test_one_file_serves_train_and_predict(self, capsys, pan_fixture, tmp_path):
+        config = tmp_path / "run.json"
+        config.write_text(
+            json.dumps(
+                {
+                    "dataset_root": str(pan_fixture),
+                    "difficulty": "easy",
+                    "strategy": "longest_first",
+                    "budget": 16,
+                    "epochs": 3,
+                    "peak_lr": 1,
+                    "seed": 9,
+                }
+            )
+        )
+        model = tmp_path / "model"
+        assert run_cli(capsys, "train", "--config", config, "--out", model)[0] == 0
+        code, _ = run_cli(
+            capsys,
+            "predict",
+            "--config", config,
+            "--split", "validation",
+            "--model", model / cli.MODEL_FILENAME,
+            "--out", tmp_path / "pred",
+        )
+        assert code == 0
+        flags = tmp_path / "flags"
+        code, _ = run_cli(
+            capsys,
+            "train",
+            "--dataset-root", pan_fixture,
+            "--difficulty", "easy",
+            "--strategy", "longest_first",
+            "--budget", "16",
+            "--epochs", "3",
+            "--peak-lr", "1",
+            "--seed", "9",
+            "--out", flags,
+        )
+        assert code == 0
+        for name in (cli.MODEL_FILENAME, cli.VOCABULARY_FILENAME):
+            assert (model / name).read_bytes() == (flags / name).read_bytes()
+
+
+class TestRejectedFlags:
+    """Each command accepts only the flags it uses."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["predict", "--model", "m.json", "--out", "o", "--seed", "1"],
+            ["stats", "--seed", "1"],
+            ["evaluate", "p", "t", "--config", "c.json"],
+            ["ensemble", "a.ndjson", "--mode", "majority", "--out", "o", "--config", "c.json"],
+            ["solutions", "p.ndjson", "--out", "o", "--config", "c.json"],
+        ],
+    )
+    def test_exit_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_non_utf8_problem_next_to_truth_is_exit_2(capsys, tmp_path):
+    truth_dir = tmp_path / "truth"
+    truth_dir.mkdir()
+    (truth_dir / "problem-1.txt").write_bytes(b"A\n\xff\n")
+    (truth_dir / "truth-problem-1.json").write_text('{"authors": 2, "changes": [1]}')
+    (tmp_path / "solution-problem-1.json").write_text('{"changes": [1]}')
+    code, _ = run_cli(capsys, "evaluate", tmp_path, truth_dir)
+    assert code == 2
+
 
 def test_synthetic_corpus_is_loadable(synth_corpus, capsys):
     code, out = run_cli(

@@ -107,6 +107,12 @@ class TestLoadTruth:
         with pytest.raises(FormatError, match="document 4"):
             load_truth(tmp_path)
 
+    def test_non_utf8_sibling_is_format_error(self, tmp_path):
+        (tmp_path / "problem-8.txt").write_bytes(b"A\n\xff\xfe\n")
+        _write_truth(tmp_path, 8, {"authors": 2, "changes": [1]})
+        with pytest.raises(FormatError, match="not valid UTF-8"):
+            load_truth(tmp_path)
+
     def test_missing_authors_defaults_to_one(self, tmp_path):
         _write_truth(tmp_path, 6, {"changes": [0]})
         assert load_truth(tmp_path)[0].authors == 1

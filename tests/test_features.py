@@ -9,11 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from styleseam import features, tokenization
 from styleseam.corpus import ParagraphPair
 from styleseam.errors import FormatError, UsageError
 from styleseam.features import (
     HANDCRAFTED_WIDTH,
+    SparseFeatureVector,
     Vocabulary,
+    featurize,
     fit_vocabulary,
     handcrafted,
     load_stopwords,
@@ -22,6 +25,7 @@ from styleseam.features import (
     save_vocabulary,
     tfidf_vector,
 )
+from styleseam.tokenization import TruncationConfig, TruncationStrategy
 
 
 class TestFitVocabulary:
@@ -183,6 +187,77 @@ class TestPairFeatures:
         vec = pair_features(self._pair("cat dog bird?", "dog."), vocab)
         assert all(a < b for a, b in zip(vec.indices, vec.indices[1:]))
         assert vec.indices.size == 0 or vec.indices[-1] < vec.dimension
+
+
+class TestFeaturize:
+    # 17 tokens on the left, 9 on the right; the two sides share no words.
+    PAIR = ParagraphPair(
+        doc_id=3,
+        pair_index=1,
+        left="It's the cat's (old) bowl, isn't it?",
+        right="Dogs' barks (loud) scare birds.",
+    )
+
+    @pytest.fixture()
+    def vocab(self) -> Vocabulary:
+        return fit_vocabulary([self.PAIR.left, self.PAIR.right], set())
+
+    @staticmethod
+    def _same(a: SparseFeatureVector, b: SparseFeatureVector) -> bool:
+        return (
+            a.dimension == b.dimension
+            and a.indices.tobytes() == b.indices.tobytes()
+            and a.values.tobytes() == b.values.tobytes()
+        )
+
+    @pytest.mark.parametrize("strategy", list(TruncationStrategy))
+    def test_within_budget_is_pair_features_of_original_text(self, vocab, strategy):
+        budget = len(tokenization.tokenize(self.PAIR.left)) + len(tokenization.tokenize(self.PAIR.right))
+        [vec] = featurize([self.PAIR], vocab, TruncationConfig(budget=budget, strategy=strategy))
+        assert self._same(vec, pair_features(self.PAIR, vocab))
+        # the apostrophe and parenthesis slots of both sides are set
+        dense, block = vec.to_dense(), vocab.size + HANDCRAFTED_WIDTH
+        for offset in (0, block):
+            assert dense[offset + vocab.size + 2] > 0 and dense[offset + vocab.size + 3] > 0
+
+    @pytest.mark.parametrize("strategy", list(TruncationStrategy))
+    def test_cut_pair_is_pair_features_of_kept_tokens(self, vocab, strategy):
+        cfg = TruncationConfig(budget=8, strategy=strategy)
+        left, right = tokenization.truncate(
+            tokenization.tokenize(self.PAIR.left), tokenization.tokenize(self.PAIR.right), cfg
+        )
+        kept = ParagraphPair(doc_id=3, pair_index=1, left=" ".join(left), right=" ".join(right))
+        [vec] = featurize([self.PAIR], vocab, cfg)
+        assert self._same(vec, pair_features(kept, vocab))
+        assert not self._same(vec, pair_features(self.PAIR, vocab))
+
+    def test_order_and_length_follow_pairs(self, vocab):
+        swapped = ParagraphPair(doc_id=3, pair_index=2, left=self.PAIR.right, right=self.PAIR.left)
+        vectors = featurize([self.PAIR, swapped, self.PAIR], vocab, TruncationConfig())
+        assert len(vectors) == 3
+        assert self._same(vectors[1], pair_features(swapped, vocab))
+        assert self._same(vectors[0], vectors[2])
+        assert featurize([], vocab, TruncationConfig()) == []
+
+    def test_calls_go_through_module_attributes(self, vocab, monkeypatch):
+        """Wrappers installed on the modules (as a tracing harness does) see every call."""
+        calls: dict[str, int] = {"tokenize": 0, "truncate": 0, "pair_features": 0}
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(tokenization, "tokenize")
+        counting(tokenization, "truncate")
+        counting(features, "pair_features")
+        short = ParagraphPair(doc_id=3, pair_index=0, left="a cat", right="a dog")
+        featurize([short, self.PAIR], vocab, TruncationConfig(budget=8))
+        assert calls == {"tokenize": 4, "truncate": 1, "pair_features": 2}
 
 
 @settings(max_examples=60, deadline=None)

@@ -372,6 +372,27 @@ class TestModelSerialization:
         with pytest.raises(FormatError, match="version"):
             load_model(path)
 
+    def test_negative_index_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text('{"version": 1, "dimension": 3, "bias": 0, "lambda": 1, "weights": [[-1, 2.0]]}')
+        with pytest.raises(FormatError, match="negative weight index -1"):
+            load_model(path)
+
+    @pytest.mark.parametrize("index", ["1.5", "true", '"0"'])
+    def test_non_integer_index_rejected(self, tmp_path, index):
+        path = tmp_path / "model.json"
+        path.write_text(f'{{"version": 1, "dimension": 3, "bias": 0, "lambda": 1, "weights": [[{index}, 2.0]]}}')
+        with pytest.raises(FormatError, match="non-integer weight index"):
+            load_model(path)
+
+    def test_duplicate_index_rejected(self, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_text(
+            '{"version": 1, "dimension": 3, "bias": 0, "lambda": 1, "weights": [[0, 1.0], [0, 3.0]]}'
+        )
+        with pytest.raises(FormatError, match="repeats weight index 0"):
+            load_model(path)
+
 
 def test_prediction_record_consistency_enforced():
     with pytest.raises(UsageError):
