@@ -96,7 +96,7 @@ def _load_split(
     docs = corpus.load_documents(directory, difficulty)
     if not docs:
         raise UsageError(f"no documents found in {directory}")
-    return docs, corpus.load_truth(directory) if labeled else None
+    return docs, corpus.load_truth(directory, docs) if labeled else None
 
 
 def _write_predictions(records: list[model_mod.PredictionRecord], out: Path) -> int:

@@ -111,7 +111,7 @@ def _scan_directory(directory: Path) -> tuple[dict[int, Path], dict[int, Path]]:
         raise FileNotFoundError(f"dataset directory not found: {directory}")
     problems: dict[int, Path] = {}
     truths: dict[int, Path] = {}
-    for entry in sorted(directory.iterdir()):
+    for entry in sorted(directory.iterdir(), key=lambda path: path.name):
         if not entry.is_file():
             continue
         m = _PROBLEM_RE.match(entry.name)
@@ -168,24 +168,26 @@ def _parse_truth(path: Path, doc_id: int) -> TruthRecord:
     return TruthRecord(doc_id=doc_id, authors=authors, changes=tuple(changes))
 
 
-def load_truth(directory: str | Path) -> list[TruthRecord]:
+def load_truth(directory: str | Path, documents: Sequence[Document] | None = None) -> list[TruthRecord]:
     """Load all truth-problem-<N>.json files, ordered by ascending N.
 
-    When the sibling problem-<N>.txt exists, the changes length is checked
-    against its paragraph count; an undecodable sibling is a FormatError.
+    The changes length is checked against the paragraph count of document N:
+    taken from `documents` when given, else read from the sibling
+    problem-<N>.txt if it exists (an undecodable sibling is a FormatError).
     """
     problems, truth_files = _scan_directory(Path(directory))
+    paragraph_counts = {} if documents is None else {doc.id: len(doc.paragraphs) for doc in documents}
     records = []
     for doc_id in sorted(truth_files):
         record = _parse_truth(truth_files[doc_id], doc_id)
-        sibling = problems.get(doc_id)
-        if sibling is not None:
-            n_paragraphs = len(split_paragraphs(_read_problem(sibling)))
-            if len(record.changes) != n_paragraphs - 1:
-                raise FormatError(
-                    f"document {doc_id}: {len(record.changes)} changes for "
-                    f"{n_paragraphs} paragraphs (expected {n_paragraphs - 1})"
-                )
+        if documents is None and doc_id in problems:
+            paragraph_counts[doc_id] = len(split_paragraphs(_read_problem(problems[doc_id])))
+        n_paragraphs = paragraph_counts.get(doc_id)
+        if n_paragraphs is not None and len(record.changes) != n_paragraphs - 1:
+            raise FormatError(
+                f"document {doc_id}: {len(record.changes)} changes for "
+                f"{n_paragraphs} paragraphs (expected {n_paragraphs - 1})"
+            )
         records.append(record)
     return records
 

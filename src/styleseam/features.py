@@ -10,7 +10,8 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -78,6 +79,8 @@ class Vocabulary:
     doc_freq: dict[str, int]
     document_count: int
     stopwords: frozenset[str]
+    # (text, block) of the last side block computed under this vocabulary; see _side_block.
+    _last_side: list = field(default_factory=lambda: [None], init=False, repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -86,6 +89,11 @@ class Vocabulary:
     def idf(self, term: str) -> float:
         # Smoothed variant: stays finite and positive even when df == N.
         return math.log((1 + self.document_count) / (1 + self.doc_freq[term])) + 1.0
+
+    @cached_property
+    def idf_array(self) -> np.ndarray:
+        """`idf` of every term, by column (math.log, not np.log, so the bits match)."""
+        return np.array([self.idf(term) for term in sorted(self.index, key=self.index.__getitem__)])
 
 
 def word_tokens(text: str) -> list[str]:
@@ -124,51 +132,55 @@ def fit_vocabulary(texts: Sequence[str], stopwords: Iterable[str] = frozenset())
     return Vocabulary(index=index, doc_freq=doc_freq, document_count=len(texts), stopwords=stop)
 
 
+def _tfidf(tokens: list[str], vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted columns and L2-normalized tf-idf weights of `tokens`; OOV terms ignored."""
+    ids = [col for col in map(vocab.index.get, tokens) if col is not None]
+    cols, counts = np.unique(np.array(ids, dtype=np.int64), return_counts=True)
+    weights = counts * vocab.idf_array[cols]
+    if cols.size:
+        weights /= math.sqrt(float(np.dot(weights, weights)))
+    return cols, weights
+
+
 def tfidf_vector(text: str, vocab: Vocabulary) -> SparseFeatureVector:
     """L2-normalized tf-idf weights of `text` under `vocab`; OOV terms ignored."""
-    counts: dict[int, int] = {}
-    terms: dict[int, str] = {}
-    for term in word_tokens(text):
-        col = vocab.index.get(term)
-        if col is not None:
-            counts[col] = counts.get(col, 0) + 1
-            terms[col] = term
-    if not counts:
-        return SparseFeatureVector(
-            indices=np.empty(0, dtype=np.int64),
-            values=np.empty(0, dtype=np.float64),
-            dimension=vocab.size,
-        )
-    cols = np.array(sorted(counts), dtype=np.int64)
-    weights = np.array([counts[c] * vocab.idf(terms[c]) for c in cols], dtype=np.float64)
-    weights /= math.sqrt(float(np.dot(weights, weights)))
+    cols, weights = _tfidf(word_tokens(text), vocab)
     return SparseFeatureVector(indices=cols, values=weights, dimension=vocab.size)
 
 
-def handcrafted(text: str) -> HandcraftedCounts:
-    """Count question marks, periods, apostrophes, parentheses, and words."""
+def _handcrafted(text: str, word_count: int) -> HandcraftedCounts:
     return HandcraftedCounts(
         question_marks=text.count("?"),
         periods=text.count("."),
         apostrophes=text.count("'"),
         parentheses=text.count("(") + text.count(")"),
-        word_count=len(word_tokens(text)),
+        word_count=word_count,
     )
 
 
-def _side_block(text: str, vocab: Vocabulary, offset: int) -> tuple[list[int], list[float]]:
-    """One side's [tfidf | handcrafted] block as shifted sparse entries."""
-    tfidf = tfidf_vector(text, vocab)
-    indices = [offset + int(i) for i in tfidf.indices]
-    values = [float(v) for v in tfidf.values]
-    counts = handcrafted(text)
+def handcrafted(text: str) -> HandcraftedCounts:
+    """Count question marks, periods, apostrophes, parentheses, and words."""
+    return _handcrafted(text, len(word_tokens(text)))
+
+
+def _side_block(text: str, vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
+    """One side's [tfidf | handcrafted] entries, unshifted, from one word scan of `text`.
+
+    Consecutive pairs share a paragraph, so the last block is kept on `vocab`
+    and served again when the next side has the same text.
+    """
+    last = vocab._last_side[0]
+    if last is not None and last[0] == text:
+        return last[1]
+    tokens = word_tokens(text)
+    cols, weights = _tfidf(tokens, vocab)
+    counts = np.array(_handcrafted(text, len(tokens)).as_tuple())
+    slots = np.flatnonzero(counts)
     # Length normalization keeps long paragraphs from dominating the margin.
-    scale = 1.0 / (1.0 + counts.word_count)
-    for slot, count in enumerate(counts.as_tuple()):
-        if count:
-            indices.append(offset + vocab.size + slot)
-            values.append(count * scale)
-    return indices, values
+    scale = 1.0 / (1.0 + len(tokens))
+    block = np.concatenate((cols, vocab.size + slots)), np.concatenate((weights, counts[slots] * scale))
+    vocab._last_side[0] = (text, block)
+    return block
 
 
 def pair_features(pair: ParagraphPair, vocab: Vocabulary) -> SparseFeatureVector:
@@ -179,11 +191,11 @@ def pair_features(pair: ParagraphPair, vocab: Vocabulary) -> SparseFeatureVector
     1 / (1 + word_count) of their own side.
     """
     block = vocab.size + HANDCRAFTED_WIDTH
-    left_idx, left_val = _side_block(pair.left, vocab, 0)
-    right_idx, right_val = _side_block(pair.right, vocab, block)
+    left_idx, left_val = _side_block(pair.left, vocab)
+    right_idx, right_val = _side_block(pair.right, vocab)
     return SparseFeatureVector(
-        indices=np.array(left_idx + right_idx, dtype=np.int64),
-        values=np.array(left_val + right_val, dtype=np.float64),
+        indices=np.concatenate((left_idx, right_idx + block)),
+        values=np.concatenate((left_val, right_val)),
         dimension=2 * block,
     )
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import logging
 import random
+from pathlib import Path
 
 import pytest
 
@@ -112,6 +113,25 @@ class TestLoadTruth:
         _write_truth(tmp_path, 8, {"authors": 2, "changes": [1]})
         with pytest.raises(FormatError, match="not valid UTF-8"):
             load_truth(tmp_path)
+
+    def test_documents_replace_sibling_reads(self, tmp_path, monkeypatch):
+        _write_doc(tmp_path, 4, ["A", "B", "C"])
+        _write_truth(tmp_path, 4, {"authors": 2, "changes": [1, 0]})
+        docs = load_documents(tmp_path, Difficulty.EASY)
+        read = []
+        read_text = Path.read_text
+
+        def recording(path, *args, **kwargs):
+            read.append(path.name)
+            return read_text(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", recording)
+        assert load_truth(tmp_path, docs) == [TruthRecord(doc_id=4, authors=2, changes=(1, 0))]
+        assert read == ["truth-problem-4.json"]
+        # the length check now runs against the given documents
+        short = [Document(id=4, difficulty=Difficulty.EASY, paragraphs=("A", "B"))]
+        with pytest.raises(FormatError, match="document 4: 2 changes for 2 paragraphs"):
+            load_truth(tmp_path, short)
 
     def test_missing_authors_defaults_to_one(self, tmp_path):
         _write_truth(tmp_path, 6, {"changes": [0]})

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from styleseam import features, tokenization
-from styleseam.corpus import ParagraphPair
+from styleseam.corpus import Difficulty, Document, ParagraphPair, build_pairs
 from styleseam.errors import FormatError, UsageError
 from styleseam.features import (
     HANDCRAFTED_WIDTH,
@@ -258,6 +258,27 @@ class TestFeaturize:
         short = ParagraphPair(doc_id=3, pair_index=0, left="a cat", right="a dog")
         featurize([short, self.PAIR], vocab, TruncationConfig(budget=8))
         assert calls == {"tokenize": 4, "truncate": 1, "pair_features": 2}
+
+    def test_each_paragraph_is_scanned_once(self, monkeypatch):
+        """Interior paragraphs are shared by two pairs but their words are scanned once."""
+        doc = Document(
+            id=1,
+            difficulty=Difficulty.EASY,
+            paragraphs=("The cat sat.", "A dog (barking)?", "It's a bird.", "The fish swam."),
+        )
+        vocab = fit_vocabulary(doc.paragraphs, set())
+        calls: dict[str, int] = {"word_tokens": 0, "pair_features": 0, "tokenize": 0}
+        for module, name in ((features, "word_tokens"), (features, "pair_features"), (tokenization, "tokenize")):
+            original = getattr(module, name)
+
+            def wrapper(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+        vectors = featurize(build_pairs([doc]), vocab, TruncationConfig())
+        assert calls == {"word_tokens": 4, "pair_features": 3, "tokenize": 6}
+        assert len(vectors) == 3
 
 
 @settings(max_examples=60, deadline=None)
