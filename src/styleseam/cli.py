@@ -143,12 +143,14 @@ def cmd_train(args: argparse.Namespace) -> int:
     if not pairs:
         raise UsageError("selected split yields no paragraph pairs")
     stopwords = features.load_stopwords(args.stopwords)
+    table = features.ParagraphTable(pairs, truncation)
     vocab = features.fit_vocabulary(
-        [paragraph for doc in docs for paragraph in doc.paragraphs], stopwords
+        [paragraph for doc in docs for paragraph in doc.paragraphs], stopwords, table
     )
     logger.info("fitted vocabulary: %d terms over %d paragraphs", vocab.size, vocab.document_count)
 
-    vectors = features.featurize(pairs, vocab, truncation)
+    vectors = table.featurize(vocab)
+    del table  # its scans are not needed once the rows are built
     labels = [p.label for p in pairs]
     trained = model_mod.train_linear_svm(vectors, labels, train_config)
 
@@ -166,6 +168,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         len(labels),
     )
 
+    del vectors  # release the rows before writing the artifacts
     model_mod.save_model(trained, out / MODEL_FILENAME)
     features.save_vocabulary(vocab, out / VOCABULARY_FILENAME)
     logger.info("wrote %s and %s", out / MODEL_FILENAME, out / VOCABULARY_FILENAME)

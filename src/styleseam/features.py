@@ -1,20 +1,26 @@
 """TF-IDF vectorization with stopword removal plus handcrafted surface counts.
 
 One pair is represented as the concatenation of the two per-side blocks,
-each block being [tfidf weights | scaled handcrafted counts]. Everything
-here is deterministic and pure once a vocabulary is fitted.
+each block being [tfidf weights | scaled handcrafted counts]. A paragraph
+table scans each distinct paragraph once and stores its block once, as a
+CSR row that every pair using it reads. Everything here is deterministic
+once a vocabulary is fitted.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import re
-from dataclasses import dataclass, field, replace
+from array import array
+from collections import Counter
+from collections.abc import Sequence
+from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -33,26 +39,6 @@ VOCABULARY_FORMAT_VERSION = 1
 HANDCRAFTED_WIDTH = 5
 
 
-@dataclass(frozen=True)
-class HandcraftedCounts:
-    """Exact surface counts of one text."""
-
-    question_marks: int
-    periods: int
-    apostrophes: int
-    parentheses: int
-    word_count: int
-
-    def as_tuple(self) -> tuple[int, int, int, int, int]:
-        return (
-            self.question_marks,
-            self.periods,
-            self.apostrophes,
-            self.parentheses,
-            self.word_count,
-        )
-
-
 @dataclass(frozen=True, eq=False)
 class SparseFeatureVector:
     """Strictly-increasing (index, weight) entries below `dimension`."""
@@ -60,11 +46,6 @@ class SparseFeatureVector:
     indices: np.ndarray
     values: np.ndarray
     dimension: int
-
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros(self.dimension)
-        dense[self.indices] = self.values
-        return dense
 
 
 @dataclass(frozen=True)
@@ -79,8 +60,6 @@ class Vocabulary:
     doc_freq: dict[str, int]
     document_count: int
     stopwords: frozenset[str]
-    # (text, block) of the last side block computed under this vocabulary; see _side_block.
-    _last_side: list = field(default_factory=lambda: [None], init=False, repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -115,72 +94,175 @@ def load_stopwords(path: str | Path | None = None) -> frozenset[str]:
     return frozenset(words)
 
 
-def fit_vocabulary(texts: Sequence[str], stopwords: Iterable[str] = frozenset()) -> Vocabulary:
+def fit_vocabulary(
+    texts: Sequence[str], stopwords: Iterable[str] = frozenset(), table: ParagraphTable | None = None
+) -> Vocabulary:
     """Build a vocabulary over non-stopword word tokens of `texts`.
 
-    Document frequency counts texts containing the term at least once.
+    Document frequency counts texts containing the term at least once; a
+    text that occurs twice counts twice but is scanned once. With a `table`,
+    the scans go through it, and it keeps those it needs.
     """
     if not texts:
         raise UsageError("cannot fit a vocabulary on an empty corpus")
     stop = frozenset(w.lower() for w in stopwords)
-    doc_freq: dict[str, int] = {}
-    for text in texts:
-        for term in set(word_tokens(text)):
-            if term not in stop:
-                doc_freq[term] = doc_freq.get(term, 0) + 1
+    scan = table.scan if table is not None else lambda text: set(word_tokens(text))
+    counted: Counter[str] = Counter()
+    for text, times in Counter(texts).items():
+        terms = scan(text)
+        for _ in range(times):
+            counted.update(terms)
+    doc_freq = {term: df for term, df in counted.items() if term not in stop}
     index = {term: i for i, term in enumerate(sorted(doc_freq))}
     return Vocabulary(index=index, doc_freq=doc_freq, document_count=len(texts), stopwords=stop)
 
 
-def _tfidf(tokens: list[str], vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted columns and L2-normalized tf-idf weights of `tokens`; OOV terms ignored."""
-    ids = [col for col in map(vocab.index.get, tokens) if col is not None]
-    cols, counts = np.unique(np.array(ids, dtype=np.int64), return_counts=True)
-    weights = counts * vocab.idf_array[cols]
-    if cols.size:
-        weights /= math.sqrt(float(np.dot(weights, weights)))
-    return cols, weights
+@dataclass(eq=False)
+class PairFeatures(Sequence[SparseFeatureVector]):
+    """Pair vectors over CSR rows of side blocks, each block stored once.
 
-
-def tfidf_vector(text: str, vocab: Vocabulary) -> SparseFeatureVector:
-    """L2-normalized tf-idf weights of `text` under `vocab`; OOV terms ignored."""
-    cols, weights = _tfidf(word_tokens(text), vocab)
-    return SparseFeatureVector(indices=cols, values=weights, dimension=vocab.size)
-
-
-def _handcrafted(text: str, word_count: int) -> HandcraftedCounts:
-    return HandcraftedCounts(
-        question_marks=text.count("?"),
-        periods=text.count("."),
-        apostrophes=text.count("'"),
-        parentheses=text.count("(") + text.count(")"),
-        word_count=word_count,
-    )
-
-
-def handcrafted(text: str) -> HandcraftedCounts:
-    """Count question marks, periods, apostrophes, parentheses, and words."""
-    return _handcrafted(text, len(word_tokens(text)))
-
-
-def _side_block(text: str, vocab: Vocabulary) -> tuple[np.ndarray, np.ndarray]:
-    """One side's [tfidf | handcrafted] entries, unshifted, from one word scan of `text`.
-
-    Consecutive pairs share a paragraph, so the last block is kept on `vocab`
-    and served again when the next side has the same text.
+    Pair i is row `left[i]` followed by row `right[i]` shifted by one block,
+    total width 2 * (V + 5); indexing gathers it into a SparseFeatureVector.
     """
-    last = vocab._last_side[0]
-    if last is not None and last[0] == text:
-        return last[1]
-    tokens = word_tokens(text)
-    cols, weights = _tfidf(tokens, vocab)
-    counts = np.array(_handcrafted(text, len(tokens)).as_tuple())
-    slots = np.flatnonzero(counts)
-    # Length normalization keeps long paragraphs from dominating the margin.
-    scale = 1.0 / (1.0 + len(tokens))
-    block = np.concatenate((cols, vocab.size + slots)), np.concatenate((weights, counts[slots] * scale))
-    vocab._last_side[0] = (text, block)
-    return block
+
+    indptr: list[int]
+    indices: np.ndarray
+    values: np.ndarray
+    left: list[int]
+    right: list[int]
+    dimension: int
+
+    def __post_init__(self) -> None:
+        self.shifted = self.indices + self.dimension // 2  # the indices of a row as a right side
+
+    def __len__(self) -> int:
+        return len(self.left)
+
+    def __getitem__(self, i: int) -> SparseFeatureVector:  # type: ignore[override]
+        ptr, left, right = self.indptr, self.left[i], self.right[i]
+        a, b, c, d = ptr[left], ptr[left + 1], ptr[right], ptr[right + 1]
+        return SparseFeatureVector(
+            indices=np.concatenate((self.indices[a:b], self.shifted[c:d])),
+            values=np.concatenate((self.values[a:b], self.values[c:d])),
+            dimension=self.dimension,
+        )
+
+
+class ParagraphTable:
+    """The paragraphs of a pair list, each distinct one word-scanned once.
+
+    The budget check counts tokens without a regex. Each paragraph that is a
+    side of a pair within budget gets one row. A cut pair's sides are the
+    space-joined tokens truncation keeps, and each distinct kept text gets
+    one row; its paragraphs are tokenized once each. Without a truncation
+    config no pair is cut. A scan is kept compactly: term ids, counts and
+    handcrafted counts.
+    """
+
+    def __init__(self, pairs: Iterable[ParagraphPair], truncation: TruncationConfig | None = None) -> None:
+        self.pairs, self.truncation = list(pairs), truncation
+        self.cut = [False] * len(self.pairs)
+        if truncation is not None:
+            sizes = {text: tokenization.token_count(text) for text in dict.fromkeys(self._sides())}
+            self.cut = [sizes[p.left] + sizes[p.right] > truncation.budget for p in self.pairs]
+        self._uncut = set(self._sides(cut=False))
+        self._rows: dict[str, int] = {}  # side text (a paragraph or a kept text) -> its row
+        self._terms: dict[str, int] = {}
+        self._fresh_ids = itertools.count()
+        self._ids, self._counts, self._ends, self._surface = array("i"), array("i"), array("q", [0]), array("q")
+
+    def _sides(self, cut: bool | None = None) -> Iterator[str]:
+        """Left and right paragraph of every pair, or of the pairs whose cut flag is `cut`."""
+        return (text for p, c in zip(self.pairs, self.cut) if cut in (None, c) for text in (p.left, p.right))
+
+    def scan(self, text: str) -> Iterable[str]:
+        """Distinct word tokens of `text` from one scan, kept as its row if it is an uncut side."""
+        if text not in self._uncut:
+            return set(word_tokens(text))
+        self._rows[text] = len(self._ends) - 1
+        return self._add_row(text)
+
+    def _add_row(self, text: str) -> Iterable[str]:
+        tokens = word_tokens(text)
+        counts = Counter(tokens)
+        # A term's id is the first value offered to it, so ids are unique and below len(self._ids).
+        self._ids.fromlist(list(map(self._terms.setdefault, counts, self._fresh_ids)))
+        self._counts.fromlist(list(counts.values()))
+        self._ends.append(len(self._ids))
+        hits = text.count  # the handcrafted slots: ?, ., ', () combined, word count
+        self._surface.extend((hits("?"), hits("."), hits("'"), hits("(") + hits(")"), len(tokens)))
+        return counts.keys()
+
+    def featurize(self, vocab: Vocabulary) -> PairFeatures:
+        """Every pair's vector under `vocab`, scanning the sides that fitting did not."""
+        # A cut pair's paragraph is tokenized once and its tokens kept until its last cut pair.
+        uses = Counter(self._sides(cut=True))
+        tokens: dict[str, tokenization.TokenSeq] = {}
+
+        def side_tokens(text: str) -> tokenization.TokenSeq:
+            if text not in tokens:
+                tokens[text] = tokenization.tokenize(text)
+            uses[text] -= 1
+            return tokens[text] if uses[text] else tokens.pop(text)
+
+        left, right = [], []
+        for pair, cut in zip(self.pairs, self.cut):
+            sides = (pair.left, pair.right)
+            if cut:
+                kept = tokenization.truncate(side_tokens(pair.left), side_tokens(pair.right), self.truncation)
+                sides = tuple(" ".join(side) for side in kept)
+            left.append(self._row(sides[0]))
+            right.append(self._row(sides[1]))
+        return PairFeatures(*self._blocks(vocab), left, right, 2 * (vocab.size + HANDCRAFTED_WIDTH))
+
+    def _row(self, text: str) -> int:
+        """The row of `text`, scanned now if no row holds it yet.
+
+        A block depends on the text alone, so a kept text that recurs, as in
+        consecutive longest_first cuts of one paragraph, shares one row.
+        """
+        if text not in self._rows:
+            self._rows[text] = len(self._ends) - 1
+            self._add_row(text)
+        return self._rows[text]
+
+    def _blocks(self, vocab: Vocabulary) -> tuple[list[int], np.ndarray, np.ndarray]:
+        """CSR (indptr, indices, values) of every row's side block, unshifted.
+
+        A block is the L2-normalized tf-idf weights by column (OOV terms
+        ignored), then the nonzero handcrafted counts at V + slot, scaled by
+        1 / (1 + word_count). Chunks of rows keep temporaries small.
+        """
+        lookup = np.full(len(self._ids), -1, dtype=np.int32)
+        columns = [vocab.index.get(term, -1) for term in self._terms]
+        lookup[np.fromiter(self._terms.values(), dtype=np.int64)] = columns
+        ids, counts = np.frombuffer(self._ids, dtype=np.int32), np.frombuffer(self._counts, dtype=np.int32)
+        ends = np.frombuffer(self._ends, dtype=np.int64)
+        surface = np.frombuffer(self._surface, dtype=np.int64).reshape(-1, HANDCRAFTED_WIDTH)
+        # Length normalization keeps long paragraphs from dominating the margin.
+        scaled = surface * (1.0 / (1.0 + surface[:, -1]))[:, None]
+        size = np.count_nonzero(lookup[ids] >= 0) + np.count_nonzero(surface)
+        indptr, indices, values = [0], np.empty(size, dtype=np.int64), np.empty(size)
+        for first in range(0, len(surface), 1024):
+            last = min(first + 1024, len(surface))
+            chunk = slice(ends[first], ends[last])
+            cols = lookup[ids[chunk]]
+            rows = np.repeat(np.arange(last - first), np.diff(ends[first : last + 1]))
+            known = np.flatnonzero(cols >= 0)
+            known = known[np.argsort(rows[known] * vocab.size + cols[known])]
+            rows, cols, weights = rows[known], cols[known], counts[chunk][known] * vocab.idf_array[cols[known]]
+            bounds = np.searchsorted(rows, np.arange(last - first + 1)).tolist()
+            for start, end in zip(bounds, bounds[1:]):
+                if end > start:  # one dot per row, as for a lone vector, so the bits match
+                    weights[start:end] /= math.sqrt(float(np.dot(weights[start:end], weights[start:end])))
+            surface_rows, slots = np.nonzero(surface[first:last])
+            order = np.argsort(np.concatenate((rows, surface_rows)), kind="stable")
+            at = slice(indptr[-1], indptr[-1] + order.size)
+            indices[at] = np.concatenate((cols, vocab.size + slots))[order]
+            values[at] = np.concatenate((weights, scaled[first:last][surface_rows, slots]))[order]
+            row_sizes = np.diff(bounds) + np.count_nonzero(surface[first:last], axis=1)
+            indptr.extend((indptr[-1] + np.cumsum(row_sizes)).tolist())
+        return indptr, indices, values
 
 
 def pair_features(pair: ParagraphPair, vocab: Vocabulary) -> SparseFeatureVector:
@@ -190,19 +272,10 @@ def pair_features(pair: ParagraphPair, vocab: Vocabulary) -> SparseFeatureVector
     total width 2 * (V + 5). Handcrafted counts are scaled by
     1 / (1 + word_count) of their own side.
     """
-    block = vocab.size + HANDCRAFTED_WIDTH
-    left_idx, left_val = _side_block(pair.left, vocab)
-    right_idx, right_val = _side_block(pair.right, vocab)
-    return SparseFeatureVector(
-        indices=np.concatenate((left_idx, right_idx + block)),
-        values=np.concatenate((left_val, right_val)),
-        dimension=2 * block,
-    )
+    return ParagraphTable([pair]).featurize(vocab)[0]
 
 
-def featurize(
-    pairs: Iterable[ParagraphPair], vocab: Vocabulary, truncation: TruncationConfig
-) -> list[SparseFeatureVector]:
+def featurize(pairs: Iterable[ParagraphPair], vocab: Vocabulary, truncation: TruncationConfig) -> PairFeatures:
     """Truncate each pair to the token budget, then extract its pair features.
 
     This is the one featurization path of training and prediction. Pairs
@@ -210,15 +283,7 @@ def featurize(
     unaffected unless truncation actually bites; a cut pair is featurized
     from the space-joined tokens that truncation keeps.
     """
-    truncated = []
-    for pair in pairs:
-        left = tokenization.tokenize(pair.left)
-        right = tokenization.tokenize(pair.right)
-        if len(left) + len(right) > truncation.budget:
-            left, right = tokenization.truncate(left, right, truncation)
-            pair = replace(pair, left=" ".join(left), right=" ".join(right))
-        truncated.append(pair)
-    return [pair_features(pair, vocab) for pair in truncated]
+    return ParagraphTable(pairs, truncation).featurize(vocab)
 
 
 def save_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
@@ -232,24 +297,30 @@ def save_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
     Path(path).write_text(json.dumps(payload), encoding="utf-8")
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_vocabulary(path: str | Path) -> Vocabulary:
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise FormatError(f"vocabulary file {path} is not valid JSON: {exc}") from exc
-    if payload.get("version") != VOCABULARY_FORMAT_VERSION:
-        raise FormatError(f"unsupported vocabulary version {payload.get('version')!r}")
+    version = payload.get("version") if isinstance(payload, dict) else None
+    if version != VOCABULARY_FORMAT_VERSION:
+        raise FormatError(f"unsupported vocabulary version {version!r}")
     try:
-        index = {term: col for term, col, _ in payload["terms"]}
-        doc_freq = {term: df for term, _, df in payload["terms"]}
-        vocab = Vocabulary(
-            index=index,
-            doc_freq=doc_freq,
-            document_count=int(payload["document_count"]),
-            stopwords=frozenset(payload["stopwords"]),
-        )
+        count, terms, stopwords = payload["document_count"], payload["terms"], payload["stopwords"]
+        if not _is_int(count) or count < 1:
+            raise FormatError(f"vocabulary file {path} has document_count {count!r}, not an integer >= 1")
+        for term, col, df in terms:
+            if not (isinstance(term, str) and _is_int(col) and _is_int(df) and 1 <= df <= count):
+                raise FormatError(f"vocabulary file {path} has a malformed entry {[term, col, df]!r}")
+        if not isinstance(stopwords, list) or not all(isinstance(word, str) for word in stopwords):
+            raise FormatError(f"vocabulary file {path} has stopwords that are not a list of strings")
+        index, doc_freq = {term: col for term, col, _ in terms}, {term: df for term, _, df in terms}
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"vocabulary file {path} is malformed: {exc}") from exc
-    if sorted(vocab.index.values()) != list(range(vocab.size)):
+    if sorted(index.values()) != list(range(len(index))):
         raise FormatError(f"vocabulary file {path} has non-dense column indices")
-    return vocab
+    return Vocabulary(index=index, doc_freq=doc_freq, document_count=count, stopwords=frozenset(stopwords))

@@ -20,7 +20,7 @@ import numpy as np
 
 from .corpus import ParagraphPair
 from .errors import DataError, FormatError, UsageError
-from .features import SparseFeatureVector
+from .features import PairFeatures, SparseFeatureVector
 
 MODEL_FORMAT_VERSION = 1
 
@@ -114,6 +114,8 @@ def warmup_schedule(step: int, total_steps: int, cfg: TrainConfig) -> float:
 
 
 def _check_features(features: Sequence[SparseFeatureVector]) -> int:
+    if isinstance(features, PairFeatures):
+        return features.dimension  # its rows are finite by construction: positive idf times counts, normalized
     dimension = features[0].dimension
     for i, vec in enumerate(features):
         if vec.dimension != dimension:
@@ -180,6 +182,8 @@ def train_linear_svm(
                     w[vec.indices] += scale * y[i] * vec.values
                     b += scale * y[i]
             step += 1
+        if not (math.isfinite(b) and np.all(np.isfinite(w))):
+            raise DataError(f"training diverged in epoch {epoch + 1}: weights or bias not finite; lower the rate")
         if on_epoch_end is not None:
             on_epoch_end(epoch, LinearModel(weights=w.copy(), bias=b, l2=cfg.l2))
     return LinearModel(weights=w, bias=b, l2=cfg.l2)
@@ -343,16 +347,22 @@ def ensemble(
 
 
 def save_model(model: LinearModel, path: str | Path) -> None:
-    """Serialize nonzero weights to versioned JSON."""
-    nonzero = np.nonzero(model.weights)[0]
+    """Serialize nonzero weights to versioned JSON, written in chunks but spelled as one `json.dumps`."""
+    nonzero = np.flatnonzero(model.weights)
     payload = {
         "version": MODEL_FORMAT_VERSION,
         "dimension": model.dimension,
         "bias": model.bias,
         "lambda": model.l2,
-        "weights": [[int(i), float(model.weights[i])] for i in nonzero],
+        "weights": [],
     }
-    Path(path).write_text(json.dumps(payload), encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(json.dumps(payload)[:-2])  # all but the "]}" that closes the weights and the object
+        for start in range(0, nonzero.size, 4096):
+            chunk = nonzero[start : start + 4096]
+            entries = json.dumps([list(entry) for entry in zip(chunk.tolist(), model.weights[chunk].tolist())])
+            handle.write(entries[1:-1] if start == 0 else ", " + entries[1:-1])
+        handle.write("]}")
 
 
 def load_model(path: str | Path) -> LinearModel:

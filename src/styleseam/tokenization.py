@@ -63,6 +63,19 @@ def tokenize(text: str) -> TokenSeq:
     return tuple(_TOKEN_RE.findall(text))
 
 
+# Token class of each byte of ASCII text: "a" alphanumeric, " " whitespace, "." a token of its own.
+_ASCII_CLASSES = bytes(ord("a" if chr(c).isalnum() else " " if chr(c).isspace() else ".") for c in range(256))
+
+
+def token_count(text: str) -> int:
+    """`len(tokenize(text))`; ASCII text is counted without a regex scan."""
+    if not text.isascii():
+        return len(tokenize(text))
+    # With the leading space, and punctuation read as space, every alphanumeric run starts at a b" a".
+    classes = (" " + text).encode("ascii").translate(_ASCII_CLASSES)
+    return classes.count(b".") + classes.replace(b".", b" ").count(b" a")
+
+
 def truncate_transition(left: TokenSeq, right: TokenSeq, cfg: TruncationConfig) -> tuple[TokenSeq, TokenSeq]:
     """Keep the end of `left` and the start of `right` around the seam.
 

@@ -1,23 +1,43 @@
 """Scalar reference featurization: one dict-and-loop pass per call, no reuse.
 
-The library computes each paragraph's side block once from one word scan,
-reads idf from an array and serves the shared paragraph of consecutive
-pairs from a memo. These functions are the plain per-term implementation it
+The library scans each distinct paragraph once, during vocabulary fitting
+when it trains, and stores each side block once as a CSR row that pairs
+share. These functions are the plain per-term, per-pair implementation it
 replaced; the differential tests require bit-identical output from both.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from typing import Iterable
 
 import numpy as np
 
 from styleseam import tokenization
 from styleseam.corpus import ParagraphPair
-from styleseam.features import HANDCRAFTED_WIDTH, HandcraftedCounts, SparseFeatureVector, Vocabulary, word_tokens
+from styleseam.features import HANDCRAFTED_WIDTH, SparseFeatureVector, Vocabulary, word_tokens
 from styleseam.tokenization import TruncationConfig
+
+
+@dataclass(frozen=True)
+class HandcraftedCounts:
+    """Exact surface counts of one text."""
+
+    question_marks: int
+    periods: int
+    apostrophes: int
+    parentheses: int
+    word_count: int
+
+    def as_tuple(self) -> tuple[int, int, int, int, int]:
+        return (self.question_marks, self.periods, self.apostrophes, self.parentheses, self.word_count)
+
+
+def densify(vec: SparseFeatureVector) -> np.ndarray:
+    out = np.zeros(vec.dimension)
+    out[vec.indices] = vec.values
+    return out
 
 
 def tfidf_vector(text: str, vocab: Vocabulary) -> SparseFeatureVector:

@@ -112,8 +112,40 @@ class TestTrain:
         )
         assert code == 2
 
+    def test_divergence_is_exit_2_without_model(self, capsys, caplog, synth_corpus, tmp_path):
+        code, _ = run_cli(
+            capsys,
+            "train",
+            "--dataset-root", synth_corpus,
+            "--difficulty", "easy",
+            "--peak-lr", "1e300",
+            "--epochs", "1",
+            "--out", tmp_path,
+        )
+        assert code == 2
+        assert "training diverged in epoch 1" in caplog.text
+        assert not (tmp_path / cli.MODEL_FILENAME).exists()
+
 
 class TestPredictAndEvaluate:
+    @pytest.mark.parametrize("doc_freq", [-1, "3"])
+    def test_bad_document_frequency_is_exit_2(self, capsys, synth_corpus, trained, tmp_path, doc_freq):
+        payload = json.loads((trained / cli.VOCABULARY_FILENAME).read_text())
+        payload["terms"][0][2] = doc_freq
+        vocab = tmp_path / "vocabulary.json"
+        vocab.write_text(json.dumps(payload))
+        code, _ = run_cli(
+            capsys,
+            "predict",
+            "--dataset-root", synth_corpus,
+            "--difficulty", "easy",
+            "--split", "validation",
+            "--model", trained / cli.MODEL_FILENAME,
+            "--vocab", vocab,
+            "--out", tmp_path / "out",
+        )
+        assert code == 2
+
     def test_pipeline(self, capsys, synth_corpus, trained, tmp_path):
         out = tmp_path / "pred"
         code, _ = run_cli(

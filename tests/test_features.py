@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import random
 import string
@@ -18,14 +19,15 @@ from styleseam.features import (
     Vocabulary,
     featurize,
     fit_vocabulary,
-    handcrafted,
     load_stopwords,
     load_vocabulary,
     pair_features,
     save_vocabulary,
-    tfidf_vector,
 )
 from styleseam.tokenization import TruncationConfig, TruncationStrategy
+
+# The scalar reference's side functions, which the differential tests hold the table path to.
+from scalar_features import densify, handcrafted, tfidf_vector
 
 
 class TestFitVocabulary:
@@ -38,6 +40,11 @@ class TestFitVocabulary:
     def test_df_is_document_frequency(self):
         vocab = fit_vocabulary(["a a b"], set())
         assert vocab.doc_freq["a"] == 1
+
+    def test_repeated_text_counts_each_occurrence(self):
+        vocab = fit_vocabulary(["cat dog", "cat dog", "cat"], set())
+        assert vocab.doc_freq == {"cat": 3, "dog": 2}
+        assert vocab.document_count == 3
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(UsageError):
@@ -150,7 +157,7 @@ class TestPairFeatures:
         text = "cat dog? (bird)."
         vec = pair_features(self._pair(text, text), vocab)
         block = vocab.size + HANDCRAFTED_WIDTH
-        dense = vec.to_dense()
+        dense = densify(vec)
         assert dense[:block].tolist() == dense[block:].tolist()
 
     def test_empty_vocabulary_keeps_handcrafted_slots(self):
@@ -163,7 +170,7 @@ class TestPairFeatures:
         left, right = "cat cat dog!", "bird (dog) here?"
         vec = pair_features(self._pair(left, right), vocab)
         block = vocab.size + HANDCRAFTED_WIDTH
-        dense = vec.to_dense()
+        dense = densify(vec)
 
         for offset, text in ((0, left), (block, right)):
             side = np.zeros(block)
@@ -179,7 +186,7 @@ class TestPairFeatures:
         vec = pair_features(self._pair("cat dog", "bird."), vocab)
         swapped = pair_features(self._pair("bird.", "cat dog"), vocab)
         block = vocab.size + HANDCRAFTED_WIDTH
-        dense, dense_swapped = vec.to_dense(), swapped.to_dense()
+        dense, dense_swapped = densify(vec), densify(swapped)
         assert dense[:block].tolist() == dense_swapped[block:].tolist()
         assert dense[block:].tolist() == dense_swapped[:block].tolist()
 
@@ -216,7 +223,7 @@ class TestFeaturize:
         [vec] = featurize([self.PAIR], vocab, TruncationConfig(budget=budget, strategy=strategy))
         assert self._same(vec, pair_features(self.PAIR, vocab))
         # the apostrophe and parenthesis slots of both sides are set
-        dense, block = vec.to_dense(), vocab.size + HANDCRAFTED_WIDTH
+        dense, block = densify(vec), vocab.size + HANDCRAFTED_WIDTH
         for offset in (0, block):
             assert dense[offset + vocab.size + 2] > 0 and dense[offset + vocab.size + 3] > 0
 
@@ -237,48 +244,80 @@ class TestFeaturize:
         assert len(vectors) == 3
         assert self._same(vectors[1], pair_features(swapped, vocab))
         assert self._same(vectors[0], vectors[2])
-        assert featurize([], vocab, TruncationConfig()) == []
+        assert len(featurize([], vocab, TruncationConfig())) == 0
 
-    def test_calls_go_through_module_attributes(self, vocab, monkeypatch):
-        """Wrappers installed on the modules (as a tracing harness does) see every call."""
-        calls: dict[str, int] = {"tokenize": 0, "truncate": 0, "pair_features": 0}
+    # Two documents: A recurs non-consecutively and in both, and every pair with LONG is over budget 12.
+    A, B, C = "The cat sat.", "A dog (barking)?", "It's a bird."
+    LONG = "The long paragraph (about cats and dogs) goes on, and on, and on, until it's cut?"
+    DOCS = [
+        Document(id=1, difficulty=Difficulty.EASY, paragraphs=(A, B, A, C, LONG, A, LONG, B)),
+        Document(id=2, difficulty=Difficulty.EASY, paragraphs=(C, A)),
+    ]
 
-        def counting(module, name):
-            original = getattr(module, name)
-
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return original(*args, **kwargs)
-
-            monkeypatch.setattr(module, name, wrapper)
-
-        counting(tokenization, "tokenize")
-        counting(tokenization, "truncate")
-        counting(features, "pair_features")
-        short = ParagraphPair(doc_id=3, pair_index=0, left="a cat", right="a dog")
-        featurize([short, self.PAIR], vocab, TruncationConfig(budget=8))
-        assert calls == {"tokenize": 4, "truncate": 1, "pair_features": 2}
-
-    def test_each_paragraph_is_scanned_once(self, monkeypatch):
-        """Interior paragraphs are shared by two pairs but their words are scanned once."""
-        doc = Document(
-            id=1,
-            difficulty=Difficulty.EASY,
-            paragraphs=("The cat sat.", "A dog (barking)?", "It's a bird.", "The fish swam."),
-        )
-        vocab = fit_vocabulary(doc.paragraphs, set())
-        calls: dict[str, int] = {"word_tokens": 0, "pair_features": 0, "tokenize": 0}
-        for module, name in ((features, "word_tokens"), (features, "pair_features"), (tokenization, "tokenize")):
+    @staticmethod
+    def _record_calls(monkeypatch) -> dict[str, list]:
+        """Wrap the module attributes a tracing harness wraps; returns each one's first arguments."""
+        calls: dict[str, list] = {"word_tokens": [], "tokenize": [], "truncate": []}
+        for module, name in ((features, "word_tokens"), (tokenization, "tokenize"), (tokenization, "truncate")):
             original = getattr(module, name)
 
             def wrapper(*args, _name=name, _original=original, **kwargs):
-                calls[_name] += 1
+                calls[_name].append(args[0])
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(module, name, wrapper)
-        vectors = featurize(build_pairs([doc]), vocab, TruncationConfig())
-        assert calls == {"word_tokens": 4, "pair_features": 3, "tokenize": 6}
-        assert len(vectors) == 3
+        return calls
+
+    def _expected_scans(self, pairs, cfg):
+        """The cut pairs, and the joined kept sides they are featurized from (with repeats)."""
+        tokenize = tokenization.tokenize
+        cut = [p for p in pairs if len(tokenize(p.left)) + len(tokenize(p.right)) > cfg.budget]
+        kept = [
+            " ".join(side)
+            for p in cut
+            for side in tokenization.truncate(tokenization.tokenize(p.left), tokenization.tokenize(p.right), cfg)
+        ]
+        return cut, kept
+
+    @pytest.mark.parametrize("strategy", list(TruncationStrategy))
+    def test_training_scans_each_distinct_paragraph_once(self, monkeypatch, strategy):
+        """Fitting and featurizing share one word scan per distinct paragraph; only cut pairs are tokenized."""
+        pairs = build_pairs(self.DOCS)
+        cfg = TruncationConfig(budget=12, strategy=strategy)
+        cut, kept = self._expected_scans(pairs, cfg)
+        assert len(cut) == 4 and len(pairs) - len(cut) == 4
+        paragraphs = [p for doc in self.DOCS for p in doc.paragraphs]
+        calls = self._record_calls(monkeypatch)
+        table = features.ParagraphTable(pairs, cfg)
+        vocab = fit_vocabulary(paragraphs, {"the"}, table)
+        vectors = table.featurize(vocab)
+        # LONG is cut the same way more than once; each distinct kept text is scanned once.
+        assert len(set(kept)) < len(kept)
+        assert sorted(calls["word_tokens"]) == sorted([self.A, self.B, self.C, self.LONG, *set(kept)])
+        assert sorted(calls["tokenize"]) == sorted({text for p in cut for text in (p.left, p.right)})
+        assert len(calls["truncate"]) == len(cut)
+        assert len(vectors) == len(pairs)
+        assert vocab == fit_vocabulary(paragraphs, {"the"})
+
+    def test_prediction_scans_uncut_sides_once(self, monkeypatch):
+        pairs = build_pairs(self.DOCS)
+        cfg = TruncationConfig(budget=12)
+        cut, kept = self._expected_scans(pairs, cfg)
+        vocab = fit_vocabulary([self.A, self.LONG], set())
+        calls = self._record_calls(monkeypatch)
+        featurize(pairs, vocab, cfg)
+        # LONG is a side of cut pairs only, so it is never word-scanned whole.
+        assert sorted(calls["word_tokens"]) == sorted([self.A, self.B, self.C, *set(kept)])
+        assert sorted(calls["tokenize"]) == sorted({text for p in cut for text in (p.left, p.right)})
+        assert len(calls["truncate"]) == len(cut)
+
+    def test_within_budget_never_tokenizes(self, monkeypatch):
+        pairs = build_pairs(self.DOCS)
+        vocab = fit_vocabulary([self.A], set())
+        calls = self._record_calls(monkeypatch)
+        featurize(pairs, vocab, TruncationConfig())
+        assert calls["tokenize"] == [] and calls["truncate"] == []
+        assert sorted(calls["word_tokens"]) == sorted([self.A, self.B, self.C, self.LONG])
 
 
 @settings(max_examples=60, deadline=None)
@@ -312,6 +351,39 @@ class TestStopwordsAndSerialization:
         path = tmp_path / "vocab.json"
         path.write_text('{"version": 99, "document_count": 1, "terms": [], "stopwords": []}')
         with pytest.raises(FormatError, match="version"):
+            load_vocabulary(path)
+
+    @pytest.mark.parametrize(
+        ("field", "value", "message"),
+        [
+            ("document_count", 0, "document_count"),
+            ("document_count", True, "document_count"),
+            ("document_count", "2", "document_count"),
+            ("terms", [[1, 0, 1]], "malformed entry"),
+            ("terms", [["a", "0", 1]], "malformed entry"),
+            ("terms", [["a", False, 1]], "malformed entry"),
+            ("terms", [["a", 0, 0]], "malformed entry"),
+            ("terms", [["a", 0, -1]], "malformed entry"),
+            ("terms", [["a", 0, 3]], "malformed entry"),
+            ("terms", [["a", 0, "1"]], "malformed entry"),
+            ("terms", [["a", 0, 1.0]], "malformed entry"),
+            ("terms", [["a", 0]], "malformed"),
+            ("stopwords", ["the", 1], "stopwords"),
+            ("stopwords", "the", "stopwords"),
+        ],
+    )
+    def test_malformed_fields_rejected(self, tmp_path, field, value, message):
+        payload = {"version": 1, "document_count": 2, "terms": [["a", 0, 2]], "stopwords": ["the"]}
+        payload[field] = value
+        path = tmp_path / "vocab.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FormatError, match=message):
+            load_vocabulary(path)
+
+    def test_non_object_rejected(self, tmp_path):
+        path = tmp_path / "vocab.json"
+        path.write_text("[]")
+        with pytest.raises(FormatError):
             load_vocabulary(path)
 
     def test_non_dense_indices_rejected(self, tmp_path):

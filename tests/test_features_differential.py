@@ -1,6 +1,8 @@
 """The library's featurization against the scalar reference in scalar_features.py.
 
-Every comparison is exact: same indices, same dtypes, same value bytes.
+Every comparison is exact: same indices, same dtypes, same value bytes. The
+training path fits the vocabulary through a ParagraphTable and featurizes
+from the scans fitting made; the prediction path featurizes on its own.
 """
 
 from __future__ import annotations
@@ -12,14 +14,14 @@ from hypothesis import strategies as st
 import scalar_features as ref
 from styleseam.corpus import Difficulty, Document, ParagraphPair, build_pairs
 from styleseam.features import (
+    HANDCRAFTED_WIDTH,
+    ParagraphTable,
     SparseFeatureVector,
     featurize,
     fit_vocabulary,
-    handcrafted,
     pair_features,
-    tfidf_vector,
 )
-from styleseam.tokenization import TruncationConfig, TruncationStrategy
+from styleseam.tokenization import TruncationConfig, TruncationStrategy, tokenize
 
 STOPWORDS = frozenset({"the", "and", "of", "it"})
 # In-vocabulary words include apostrophes, underscores and non-ASCII letters;
@@ -61,9 +63,16 @@ def _assert_same(actual: SparseFeatureVector, expected: SparseFeatureVector) -> 
 @example("zebra quagga Ñandú okapi")  # only out-of-vocabulary words
 @example("it's (bird's) snake_case _ '' ( ) ?")
 def test_side_functions_match_reference(text):
+    """A side block is the reference tf-idf vector, then the slots of the nonzero reference counts."""
     vocab = _vocabulary()
-    _assert_same(tfidf_vector(text, vocab), ref.tfidf_vector(text, vocab))
-    assert handcrafted(text) == ref.handcrafted(text)
+    vec = pair_features(ParagraphPair(doc_id=0, pair_index=0, left=text, right=""), vocab)
+    tfidf = vec.indices < vocab.size
+    _assert_same(
+        SparseFeatureVector(indices=vec.indices[tfidf], values=vec.values[tfidf], dimension=vocab.size),
+        ref.tfidf_vector(text, vocab),
+    )
+    slots = vec.indices[~tfidf & (vec.indices < vocab.size + HANDCRAFTED_WIDTH)] - vocab.size
+    assert slots.tolist() == [slot for slot, count in enumerate(ref.handcrafted(text).as_tuple()) if count]
 
 
 @settings(max_examples=200, deadline=None)
@@ -136,3 +145,54 @@ def test_repeated_non_consecutive_paragraphs():
     truncation = TruncationConfig()
     for a_vec, e_vec in zip(featurize(pairs, vocab, truncation), ref.featurize(pairs, vocab, truncation)):
         _assert_same(a_vec, e_vec)
+
+
+def _training_path(docs, stopwords, truncation):
+    """Vocabulary and vectors as `train` makes them: one table shared by fitting and featurizing."""
+    pairs = build_pairs(docs)
+    table = ParagraphTable(pairs, truncation)
+    vocab = fit_vocabulary([p for doc in docs for p in doc.paragraphs], stopwords, table)
+    return pairs, vocab, table.featurize(vocab)
+
+
+def _assert_training_path_matches_reference(docs, truncation):
+    pairs, vocab, actual = _training_path(docs, STOPWORDS, truncation)
+    assert vocab == fit_vocabulary([p for doc in docs for p in doc.paragraphs], STOPWORDS)
+    expected = ref.featurize(pairs, vocab, truncation)
+    assert len(actual) == len(expected) == len(pairs)
+    for a, e in zip(actual, expected):
+        _assert_same(a, e)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=6), min_size=1, max_size=4),
+    st.lists(texts, min_size=6, max_size=6),
+    st.sampled_from(list(TruncationStrategy)),
+    st.integers(2, 24),
+)
+def test_training_path_matches_reference(layouts, pool, strategy, budget):
+    """Paragraphs recur within and across documents, so the fitting corpus holds duplicates."""
+    docs = [
+        Document(id=i, difficulty=Difficulty.EASY, paragraphs=tuple(pool[k] for k in layout))
+        for i, layout in enumerate(layouts)
+    ]
+    _assert_training_path_matches_reference(docs, TruncationConfig(budget=budget, strategy=strategy))
+
+
+@pytest.mark.parametrize("strategy", list(TruncationStrategy))
+def test_training_path_with_cut_uncut_and_repeated_paragraphs(strategy):
+    long = "cat dog bird's naïve café (straße) " * 4
+    a, b, c = "cat dog (cat).", "über ωμέγα?", "it's the bird's"
+    docs = [
+        # Uncut and cut pairs interleave; a and long recur non-consecutively.
+        Document(id=1, difficulty=Difficulty.EASY, paragraphs=(a, b, long, a, c, long, b, a)),
+        # The same paragraphs again: duplicates in the fitting corpus.
+        Document(id=2, difficulty=Difficulty.EASY, paragraphs=(c, a, b)),
+        Document(id=3, difficulty=Difficulty.EASY, paragraphs=(long,)),
+    ]
+    truncation = TruncationConfig(budget=12, strategy=strategy)
+    _assert_training_path_matches_reference(docs, truncation)
+    pairs = build_pairs(docs)
+    assert any(len(tokenize(p.left)) + len(tokenize(p.right)) > 12 for p in pairs)
+    assert any(len(tokenize(p.left)) + len(tokenize(p.right)) <= 12 for p in pairs)

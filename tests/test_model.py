@@ -366,6 +366,25 @@ class TestModelSerialization:
         assert loaded.bias == model.bias
         assert loaded.l2 == model.l2
 
+    @pytest.mark.parametrize("nonzero", [0, 1, 4095, 4096, 4097, 9000])
+    def test_bytes_equal_one_json_dump(self, tmp_path, nonzero):
+        """The chunked writer spells the file exactly as json.dumps of the whole payload."""
+        rng = np.random.default_rng(nonzero)
+        weights = np.zeros(10000)
+        index = rng.choice(weights.size, size=nonzero, replace=False)
+        weights[index] = rng.normal(size=nonzero) * 10.0 ** rng.integers(-300, 300, size=nonzero)
+        model = LinearModel(weights=weights, bias=-0.1 + 1e-17, l2=1e-4)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        expected = {
+            "version": 1,
+            "dimension": 10000,
+            "bias": model.bias,
+            "lambda": model.l2,
+            "weights": [[int(i), float(weights[i])] for i in np.nonzero(weights)[0]],
+        }
+        assert path.read_text(encoding="utf-8") == json.dumps(expected)
+
     def test_version_check(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text('{"version": 9, "dimension": 1, "bias": 0, "lambda": 1, "weights": []}')

@@ -11,6 +11,7 @@ from styleseam.tokenization import (
     TruncationConfig,
     TruncationStrategy,
     assemble_pair_input,
+    token_count,
     tokenize,
     truncate_longest_first,
     truncate_transition,
@@ -62,6 +63,44 @@ class TestTokenize:
 
 TRANSITION = TruncationConfig(budget=512, strategy=TruncationStrategy.TRANSITION)
 LONGEST = TruncationConfig(budget=512, strategy=TruncationStrategy.LONGEST_FIRST)
+
+
+class TestTokenCount:
+    """`token_count` replaces `len(tokenize(text))` in the budget check."""
+
+    @pytest.mark.parametrize("code", range(128))
+    def test_every_ascii_character(self, code):
+        char = chr(code)
+        for text in (char, f"ab{char}cd", f"{char}{char} x{char}"):
+            assert token_count(text) == len(tokenize(text))
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "snake_case _x_ __",
+            "\x1c\x1d\x1e\x1fa\x1cb",  # separators: whitespace to str.isspace, not to bytes.split
+            "a\x85b",
+            "a\xa0b",
+            "a\u2028b",
+            "İstanbul İ",
+            "Straße ß",
+            "e\u0301te a\u0308b \u0301",  # combining marks split alphanumeric runs
+            "naïve café ωμέγα 東京",
+            "",
+        ],
+    )
+    def test_unicode_and_separator_cases(self, text):
+        assert token_count(text) == len(tokenize(text))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text())
+    def test_matches_tokenize(self, text):
+        assert token_count(text) == len(tokenize(text))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet=st.characters(max_codepoint=127)))
+    def test_matches_tokenize_on_ascii(self, text):
+        assert token_count(text) == len(tokenize(text))
 
 
 class TestTruncateTransition:
