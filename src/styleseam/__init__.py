@@ -14,18 +14,6 @@ from .corpus import (
 )
 from .errors import CoverageError, DataError, FormatError, StyleSeamError, UsageError
 from .evaluation import ScoreEntry, f1_per_class, macro_f1, read_solutions, write_solutions
-from .features import (
-    PairFeatures,
-    ParagraphTable,
-    SparseFeatureVector,
-    Vocabulary,
-    featurize,
-    fit_vocabulary,
-    load_stopwords,
-    load_vocabulary,
-    pair_features,
-    save_vocabulary,
-)
 from .model import (
     EnsembleMode,
     LinearModel,
@@ -109,3 +97,17 @@ __all__ = [
     "warmup_schedule",
     "write_solutions",
 ]
+
+
+def __getattr__(name: str) -> object:
+    # The exports not imported above are the `features` names. They load
+    # numpy, so they resolve on first use and `import styleseam` stays cheap.
+    if name in __all__:
+        from . import features
+
+        return getattr(features, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

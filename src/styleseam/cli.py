@@ -19,7 +19,7 @@ import os
 import sys
 from pathlib import Path
 
-from . import corpus, evaluation, features, model as model_mod
+from . import corpus, evaluation, model as model_mod
 from .corpus import Difficulty
 from .errors import StyleSeamError, UsageError
 from .model import EnsembleMode, TrainConfig
@@ -131,6 +131,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     """Fit vocabulary and linear model on a labeled split; write both artifacts."""
+    from . import features  # numpy: only train and predict load it
     if args.split == "test":
         raise UsageError("cannot train on the unlabeled test split")
     truncation = _truncation(args)
@@ -177,6 +178,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     """Run a trained model over a split; write predictions and solution files."""
+    from . import features
     truncation = _truncation(args)
     difficulty = _single_difficulty(args)
     out = _out_dir(args)

@@ -10,6 +10,7 @@ F1 = 0 by convention.
 from __future__ import annotations
 
 import json
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -153,9 +154,10 @@ def write_solutions(predictions: Sequence[PredictionRecord], out_dir: str | Path
     out.mkdir(parents=True, exist_ok=True)
     for doc_id, labels in sorted(by_doc.items()):
         changes = [labels[i] for i in range(len(labels))]
-        (out / f"solution-problem-{doc_id}.json").write_text(
-            json.dumps({"changes": changes}), encoding="utf-8"
-        )
+        # Rewritten in place, then cut: truncating to zero makes ext4 (auto_da_alloc) flush on close.
+        with open(os.open(out / f"solution-problem-{doc_id}.json", os.O_WRONLY | os.O_CREAT, 0o666), "wb") as handle:
+            handle.write(json.dumps({"changes": changes}).encode("utf-8"))
+            handle.truncate()
     return len(by_doc)
 
 

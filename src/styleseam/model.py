@@ -14,13 +14,15 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .corpus import ParagraphPair
 from .errors import DataError, FormatError, UsageError
-from .features import PairFeatures, SparseFeatureVector
+
+if TYPE_CHECKING:  # only the linear-SVM functions load numpy, so exchange-format commands start without it
+    import numpy as np
+
+    from .features import SparseFeatureVector
 
 MODEL_FORMAT_VERSION = 1
 
@@ -114,6 +116,8 @@ def warmup_schedule(step: int, total_steps: int, cfg: TrainConfig) -> float:
 
 
 def _check_features(features: Sequence[SparseFeatureVector]) -> int:
+    import numpy as np
+    from .features import PairFeatures
     if isinstance(features, PairFeatures):
         return features.dimension  # its rows are finite by construction: positive idf times counts, normalized
     dimension = features[0].dimension
@@ -149,6 +153,7 @@ def train_linear_svm(
     (data, config). Single-threaded by design. `on_epoch_end` receives the
     epoch index and a snapshot of the model at each epoch boundary.
     """
+    import numpy as np
     if len(features) != len(labels):
         raise UsageError(f"{len(features)} feature vectors vs {len(labels)} labels")
     if not features:
@@ -348,6 +353,7 @@ def ensemble(
 
 def save_model(model: LinearModel, path: str | Path) -> None:
     """Serialize nonzero weights to versioned JSON, written in chunks but spelled as one `json.dumps`."""
+    import numpy as np
     nonzero = np.flatnonzero(model.weights)
     payload = {
         "version": MODEL_FORMAT_VERSION,
@@ -366,12 +372,14 @@ def save_model(model: LinearModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> LinearModel:
+    import numpy as np
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise FormatError(f"model file {path} is not valid JSON: {exc}") from exc
-    if payload.get("version") != MODEL_FORMAT_VERSION:
-        raise FormatError(f"unsupported model version {payload.get('version')!r}")
+    version = payload.get("version") if isinstance(payload, dict) else None
+    if version != MODEL_FORMAT_VERSION:
+        raise FormatError(f"unsupported model version {version!r}")
     try:
         weights = np.zeros(int(payload["dimension"]))
         seen: set[int] = set()

@@ -146,6 +146,23 @@ class TestPredictAndEvaluate:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("content", ["[]", '"x"', "3"])
+    def test_model_without_object_is_exit_2(self, capsys, caplog, synth_corpus, trained, tmp_path, content):
+        model = tmp_path / "model.json"
+        model.write_text(content)
+        code, _ = run_cli(
+            capsys,
+            "predict",
+            "--dataset-root", synth_corpus,
+            "--difficulty", "easy",
+            "--split", "validation",
+            "--model", model,
+            "--vocab", trained / cli.VOCABULARY_FILENAME,
+            "--out", tmp_path / "out",
+        )
+        assert code == 2
+        assert "unsupported model version None" in caplog.text
+
     def test_pipeline(self, capsys, synth_corpus, trained, tmp_path):
         out = tmp_path / "pred"
         code, _ = run_cli(

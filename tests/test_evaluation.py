@@ -150,6 +150,13 @@ class TestWriteSolutions:
         content = (tmp_path / "solution-problem-3.json").read_text(encoding="utf-8")
         assert content == '{"changes": [1, 0]}'
 
+    @pytest.mark.parametrize("old", ["", '{"changes": [0]}', '{"changes": [1, 1, 1, 1, 1, 1]}\n' * 3])
+    def test_overwrite_leaves_exactly_new_content(self, tmp_path, old):
+        # Existing files are rewritten in place: a longer old file must not leave a tail.
+        (tmp_path / "solution-problem-3.json").write_text(old, encoding="utf-8")
+        write_solutions([self._record(3, 0, 1), self._record(3, 1, 0)], tmp_path)
+        assert (tmp_path / "solution-problem-3.json").read_bytes() == b'{"changes": [1, 0]}'
+
     def test_zero_predictions(self, tmp_path):
         assert write_solutions([], tmp_path) == 0
         assert list(tmp_path.iterdir()) == []
