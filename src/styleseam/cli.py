@@ -320,10 +320,7 @@ def _config_values(path: Path, args: argparse.Namespace) -> dict[str, object]:
     Keys of other commands' settings are skipped, so one file can serve
     several commands; unknown keys and mistyped values are errors.
     """
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise UsageError(f"config file {path} is not valid JSON: {exc}") from exc
+    raw = corpus.read_json(path, "config file")
     if not isinstance(raw, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
     unknown = sorted(set(raw) - set(CONFIG_KEYS))

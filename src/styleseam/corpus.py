@@ -9,6 +9,9 @@ Expected on-disk layout (shared-task convention)::
 Documents are split into paragraphs on single newlines; a trailing
 carriage return is trimmed from each segment and empty segments are
 dropped, so CRLF files load identically to LF files.
+
+Every file the toolkit reads goes through the `read_*` readers here, so a
+file that cannot be decoded or parsed is a FormatError naming it.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import FormatError, UsageError
 
@@ -126,11 +129,59 @@ def _scan_directory(directory: Path) -> tuple[dict[int, Path], dict[int, Path]]:
     return problems, truths
 
 
-def _read_problem(path: Path) -> str:
+def is_int(value: object) -> bool:
+    """A JSON integer: an int that is not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_number(value: object) -> bool:
+    """A JSON number: an int or a float, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def is_changes(value: object) -> bool:
+    """A list of 0/1 integers, as truth and solution files hold under "changes"."""
+    return isinstance(value, list) and all(is_int(c) and c in (0, 1) for c in value)
+
+
+def read_text(path: str | Path) -> str:
+    """The UTF-8 text of `path`; undecodable bytes are a FormatError."""
+    path = path if isinstance(path, Path) else Path(path)  # Path(a Path) re-parses it: half a small read
     try:
         return path.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path} is not valid UTF-8: {exc}") from exc
+
+
+def _parse_json(text: str, error: str) -> object:
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
+        raise FormatError(f"{error}: {exc}") from exc
+
+
+def read_json(path: str | Path, what: str) -> object:
+    """The JSON value of `path`; `what` names the kind of file in errors, e.g. "truth file"."""
+    return _parse_json(read_text(path), f"{what} {path} is not valid JSON")
+
+
+def read_json_lines(path: str | Path) -> Iterator[tuple[int, object]]:
+    """(line number, value) of every nonblank line of a line-delimited JSON file."""
+    # Lines end where text-mode iteration ends them: read_text has turned CRLF and CR into
+    # LF. str.splitlines would also split at U+2028, which a JSON string may hold raw.
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if line:
+            yield lineno, _parse_json(line, f"{path}:{lineno}: invalid JSON")
+
+
+def read_artifact(path: str | Path, what: str, version: int) -> dict:
+    """The JSON object of a versioned artifact whose "version" must equal `version`."""
+    payload = read_json(path, f"{what} file")
+    found = payload.get("version") if isinstance(payload, dict) else None
+    if not is_int(found) or found != version:  # not `true` or 1.0, which equal 1
+        raise FormatError(f"unsupported {what} version {found!r} in {path}")
+    return payload
 
 
 def load_documents(directory: str | Path, difficulty: Difficulty) -> list[Document]:
@@ -143,7 +194,7 @@ def load_documents(directory: str | Path, difficulty: Difficulty) -> list[Docume
     documents = []
     for doc_id in sorted(problems):
         path = problems[doc_id]
-        paragraphs = split_paragraphs(_read_problem(path))
+        paragraphs = split_paragraphs(read_text(path))
         if not paragraphs:
             raise FormatError(f"{path} contains no nonempty paragraphs")
         documents.append(Document(id=doc_id, difficulty=difficulty, paragraphs=paragraphs))
@@ -151,19 +202,14 @@ def load_documents(directory: str | Path, difficulty: Difficulty) -> list[Docume
 
 
 def _parse_truth(path: Path, doc_id: int) -> TruthRecord:
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"truth file for document {doc_id} is unparseable: {exc}") from exc
+    raw = read_json(path, "truth file")
     if not isinstance(raw, dict) or "changes" not in raw:
         raise FormatError(f"truth file for document {doc_id} is missing the \"changes\" key")
     changes = raw["changes"]
-    if not isinstance(changes, list) or any(
-        isinstance(c, bool) or not isinstance(c, int) or c not in (0, 1) for c in changes
-    ):
+    if not is_changes(changes):
         raise FormatError(f"truth file for document {doc_id} has non-binary \"changes\" entries")
     authors = raw.get("authors", 1)
-    if isinstance(authors, bool) or not isinstance(authors, int) or authors < 1:
+    if not is_int(authors) or authors < 1:
         raise FormatError(f"truth file for document {doc_id} has invalid \"authors\": {authors!r}")
     return TruthRecord(doc_id=doc_id, authors=authors, changes=tuple(changes))
 
@@ -181,7 +227,7 @@ def load_truth(directory: str | Path, documents: Sequence[Document] | None = Non
     for doc_id in sorted(truth_files):
         record = _parse_truth(truth_files[doc_id], doc_id)
         if documents is None and doc_id in problems:
-            paragraph_counts[doc_id] = len(split_paragraphs(_read_problem(problems[doc_id])))
+            paragraph_counts[doc_id] = len(split_paragraphs(read_text(problems[doc_id])))
         n_paragraphs = paragraph_counts.get(doc_id)
         if n_paragraphs is not None and len(record.changes) != n_paragraphs - 1:
             raise FormatError(

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
+from .corpus import is_changes, read_json
 from .errors import CoverageError, FormatError, UsageError
 from .model import PredictionRecord
 
@@ -172,14 +173,9 @@ def read_solutions(directory: str | Path) -> dict[int, list[int]]:
         if not m:
             continue
         doc_id = int(m.group(1))
-        try:
-            raw = json.loads(entry.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{entry} is not valid JSON: {exc}") from exc
+        raw = read_json(entry, "solution file")
         changes = raw.get("changes") if isinstance(raw, dict) else None
-        if not isinstance(changes, list) or any(
-            isinstance(c, bool) or not isinstance(c, int) or c not in (0, 1) for c in changes
-        ):
+        if not is_changes(changes):
             raise FormatError(f"{entry} lacks a binary \"changes\" array")
         solutions[doc_id] = changes
     return solutions

@@ -27,7 +27,7 @@ import numpy as np
 # tokenize/truncate are looked up on the module at call time, so wrappers
 # installed on its attributes (as the tracing benchmark does) see each call.
 from . import tokenization
-from .corpus import ParagraphPair
+from .corpus import ParagraphPair, is_int, read_artifact, read_text
 from .errors import FormatError, UsageError
 from .tokenization import TruncationConfig
 
@@ -85,7 +85,7 @@ def load_stopwords(path: str | Path | None = None) -> frozenset[str]:
     if path is None:
         content = resources.files("styleseam.data").joinpath("stopwords_en.txt").read_text("utf-8")
     else:
-        content = Path(path).read_text(encoding="utf-8")
+        content = read_text(path)
     words = set()
     for line in content.splitlines():
         line = line.strip().lower()
@@ -297,24 +297,14 @@ def save_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
     Path(path).write_text(json.dumps(payload), encoding="utf-8")
 
 
-def _is_int(value: object) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
 def load_vocabulary(path: str | Path) -> Vocabulary:
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"vocabulary file {path} is not valid JSON: {exc}") from exc
-    version = payload.get("version") if isinstance(payload, dict) else None
-    if version != VOCABULARY_FORMAT_VERSION:
-        raise FormatError(f"unsupported vocabulary version {version!r}")
+    payload = read_artifact(path, "vocabulary", VOCABULARY_FORMAT_VERSION)
     try:
         count, terms, stopwords = payload["document_count"], payload["terms"], payload["stopwords"]
-        if not _is_int(count) or count < 1:
+        if not is_int(count) or count < 1:
             raise FormatError(f"vocabulary file {path} has document_count {count!r}, not an integer >= 1")
         for term, col, df in terms:
-            if not (isinstance(term, str) and _is_int(col) and _is_int(df) and 1 <= df <= count):
+            if not (isinstance(term, str) and is_int(col) and is_int(df) and 1 <= df <= count):
                 raise FormatError(f"vocabulary file {path} has a malformed entry {[term, col, df]!r}")
         if not isinstance(stopwords, list) or not all(isinstance(word, str) for word in stopwords):
             raise FormatError(f"vocabulary file {path} has stopwords that are not a list of strings")

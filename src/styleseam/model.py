@@ -16,7 +16,7 @@ from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .corpus import ParagraphPair
+from .corpus import ParagraphPair, is_int, is_number, read_artifact, read_json_lines
 from .errors import DataError, FormatError, UsageError
 
 if TYPE_CHECKING:  # only the linear-SVM functions load numpy, so exchange-format commands start without it
@@ -87,8 +87,13 @@ class PredictionRecord:
     def __post_init__(self) -> None:
         if not 0.0 <= self.score <= 1.0:
             raise UsageError(f"score must be in [0, 1], got {self.score}")
-        if self.label != (1 if self.score >= DECISION_THRESHOLD else 0):
+        if self.label != _label(self.score):
             raise UsageError(f"label {self.label} inconsistent with score {self.score}")
+
+
+def _label(score: float) -> int:
+    """The decision rule every scored record follows: 1 iff score >= DECISION_THRESHOLD."""
+    return 1 if score >= DECISION_THRESHOLD else 0
 
 
 def _sigmoid(margin: float) -> float:
@@ -209,13 +214,7 @@ def predict(
         )
     margin = float(model.weights[features.indices] @ features.values) + model.bias
     score = _sigmoid(margin)
-    return PredictionRecord(
-        doc_id=doc_id,
-        pair_index=pair_index,
-        score=score,
-        label=1 if score >= DECISION_THRESHOLD else 0,
-        source=source,
-    )
+    return PredictionRecord(doc_id, pair_index, score, _label(score), source)
 
 
 def random_baseline(pairs: Sequence[ParagraphPair], seed: int) -> list[PredictionRecord]:
@@ -224,15 +223,7 @@ def random_baseline(pairs: Sequence[ParagraphPair], seed: int) -> list[Predictio
     records = []
     for pair in pairs:
         label = rng.randrange(2)
-        records.append(
-            PredictionRecord(
-                doc_id=pair.doc_id,
-                pair_index=pair.pair_index,
-                score=float(label),
-                label=label,
-                source="random",
-            )
-        )
+        records.append(PredictionRecord(pair.doc_id, pair.pair_index, float(label), label, "random"))
     return records
 
 
@@ -246,46 +237,28 @@ def load_external_predictions(path: str | Path) -> list[PredictionRecord]:
     """
     records = []
     seen: set[tuple[int, int, str]] = set()
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                raw = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"{path}:{lineno}: invalid JSON: {exc}") from exc
-            try:
-                doc_id = raw["doc_id"]
-                pair_index = raw["pair_index"]
-                score = raw["score"]
-                source = raw["source"]
-            except KeyError as exc:
-                raise FormatError(f"{path}:{lineno}: missing field {exc}") from exc
-            if isinstance(doc_id, bool) or not isinstance(doc_id, int):
-                raise FormatError(f"{path}:{lineno}: doc_id must be an integer")
-            if isinstance(pair_index, bool) or not isinstance(pair_index, int):
-                raise FormatError(f"{path}:{lineno}: pair_index must be an integer")
-            if not isinstance(score, (int, float)) or isinstance(score, bool):
-                raise FormatError(f"{path}:{lineno}: score must be a number")
-            if not isinstance(source, str):
-                raise FormatError(f"{path}:{lineno}: source must be a string")
-            if not 0.0 <= score <= 1.0:
-                raise FormatError(f"{path}:{lineno}: score {score} outside [0, 1]")
-            key = (doc_id, pair_index, source)
-            if key in seen:
-                raise FormatError(f"{path}:{lineno}: duplicate record for {key}")
-            seen.add(key)
-            score = float(score)
-            records.append(
-                PredictionRecord(
-                    doc_id=doc_id,
-                    pair_index=pair_index,
-                    score=score,
-                    label=1 if score >= DECISION_THRESHOLD else 0,
-                    source=source,
-                )
-            )
+    for lineno, raw in read_json_lines(path):
+        if not isinstance(raw, dict):
+            raise FormatError(f"{path}:{lineno}: not a JSON object")
+        try:
+            doc_id, pair_index, score, source = raw["doc_id"], raw["pair_index"], raw["score"], raw["source"]
+        except KeyError as exc:
+            raise FormatError(f"{path}:{lineno}: missing field {exc}") from exc
+        if not is_int(doc_id):
+            raise FormatError(f"{path}:{lineno}: doc_id must be an integer")
+        if not is_int(pair_index):
+            raise FormatError(f"{path}:{lineno}: pair_index must be an integer")
+        if not is_number(score):
+            raise FormatError(f"{path}:{lineno}: score must be a number")
+        if not isinstance(source, str):
+            raise FormatError(f"{path}:{lineno}: source must be a string")
+        if not 0.0 <= score <= 1.0:
+            raise FormatError(f"{path}:{lineno}: score {score} outside [0, 1]")
+        key = (doc_id, pair_index, source)
+        if key in seen:
+            raise FormatError(f"{path}:{lineno}: duplicate record for {key}")
+        seen.add(key)
+        records.append(PredictionRecord(doc_id, pair_index, float(score), _label(score), source))
     records.sort(key=lambda r: (r.doc_id, r.pair_index, r.source))
     return records
 
@@ -344,10 +317,8 @@ def ensemble(
             score = votes / len(members)
         else:
             score = sum(r.score for r in members) / len(members)
-            label = 1 if score >= DECISION_THRESHOLD else 0
-        combined.append(
-            PredictionRecord(doc_id=key[0], pair_index=key[1], score=score, label=label, source=source)
-        )
+            label = _label(score)
+        combined.append(PredictionRecord(*key, score, label, source))
     return combined
 
 
@@ -373,27 +344,26 @@ def save_model(model: LinearModel, path: str | Path) -> None:
 
 def load_model(path: str | Path) -> LinearModel:
     import numpy as np
+    payload = read_artifact(path, "model", MODEL_FORMAT_VERSION)
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"model file {path} is not valid JSON: {exc}") from exc
-    version = payload.get("version") if isinstance(payload, dict) else None
-    if version != MODEL_FORMAT_VERSION:
-        raise FormatError(f"unsupported model version {version!r}")
-    try:
-        weights = np.zeros(int(payload["dimension"]))
+        dimension, bias, l2 = payload["dimension"], payload["bias"], payload["lambda"]
+        if not (is_int(dimension) and is_number(bias) and is_number(l2)):
+            raise FormatError(f"model file {path} needs an integer dimension and numbers for bias and lambda")
+        weights = np.zeros(dimension)
         seen: set[int] = set()
         for index, value in payload["weights"]:
-            if isinstance(index, bool) or not isinstance(index, int):
+            if not is_int(index):
                 raise FormatError(f"model file {path} has a non-integer weight index {index!r}")
             if index < 0:
                 raise FormatError(f"model file {path} has a negative weight index {index}")
             if index in seen:
                 raise FormatError(f"model file {path} repeats weight index {index}")
+            if not is_number(value):
+                raise FormatError(f"model file {path} has a non-numeric weight {value!r}")
             seen.add(index)
             weights[index] = float(value)
-        model = LinearModel(weights=weights, bias=float(payload["bias"]), l2=float(payload["lambda"]))
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        model = LinearModel(weights=weights, bias=float(bias), l2=float(l2))
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise FormatError(f"model file {path} is malformed: {exc}") from exc
     if not np.all(np.isfinite(weights)) or not math.isfinite(model.bias):
         raise FormatError(f"model file {path} contains non-finite parameters")

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import logging
 import shutil
 from pathlib import Path
 
@@ -479,3 +480,102 @@ def test_synthetic_corpus_is_loadable(synth_corpus, capsys):
     # both labels must be present or the training baseline is degenerate
     assert payload["easy"]["train"]["zeros"] > 10
     assert payload["easy"]["train"]["ones"] > 10
+
+
+MODEL = '{"version": 1, "dimension": 12, "bias": 0.0, "lambda": 0.0001, "weights": []}'
+VOCABULARY = '{"version": 1, "document_count": 1, "terms": [["a", 0, 1]], "stopwords": []}'
+PREDICTION = '{"doc_id": 1, "pair_index": 0, "score": 0.9, "source": "m"}\n'
+
+
+def _truth_case(tmp_path, pan_fixture):
+    (tmp_path / "solution-problem-1.json").write_text('{"changes": [1]}')
+    (tmp_path / "truth").mkdir()
+    bad = tmp_path / "truth" / "truth-problem-1.json"
+    return bad, ["evaluate", tmp_path, bad.parent]
+
+
+def _problem_case(tmp_path, pan_fixture):
+    (tmp_path / "easy" / "train").mkdir(parents=True)
+    bad = tmp_path / "easy" / "train" / "problem-1.txt"
+    return bad, ["stats", "--dataset-root", tmp_path, "--difficulty", "easy"]
+
+
+def _solution_case(tmp_path, pan_fixture):
+    bad = tmp_path / "solution-problem-1.json"
+    return bad, ["evaluate", tmp_path, pan_fixture / "easy" / "validation"]
+
+
+def _solutions_predictions_case(tmp_path, pan_fixture):
+    bad = tmp_path / "predictions.ndjson"
+    return bad, ["solutions", bad, "--out", tmp_path / "out"]
+
+
+def _ensemble_predictions_case(tmp_path, pan_fixture):
+    (tmp_path / "good.ndjson").write_text(PREDICTION)
+    bad = tmp_path / "predictions.ndjson"
+    files = [tmp_path / "good.ndjson", bad]
+    return bad, ["ensemble", *files, "--mode", "softmax_mean", "--out", tmp_path / "out"]
+
+
+def _predict_argv(tmp_path, pan_fixture, model, vocab):
+    split = ["--dataset-root", pan_fixture, "--difficulty", "easy", "--split", "validation"]
+    return ["predict", *split, "--model", model, "--vocab", vocab, "--out", tmp_path / "out"]
+
+
+def _model_case(tmp_path, pan_fixture):
+    (tmp_path / "vocabulary.json").write_text(VOCABULARY)
+    bad = tmp_path / "model.json"
+    return bad, _predict_argv(tmp_path, pan_fixture, bad, tmp_path / "vocabulary.json")
+
+
+def _vocabulary_case(tmp_path, pan_fixture):
+    (tmp_path / "model.json").write_text(MODEL)
+    bad = tmp_path / "vocabulary.json"
+    return bad, _predict_argv(tmp_path, pan_fixture, tmp_path / "model.json", bad)
+
+
+def _stopwords_case(tmp_path, pan_fixture):
+    bad = tmp_path / "stopwords.txt"
+    split = ["--dataset-root", pan_fixture, "--difficulty", "easy"]
+    return bad, ["train", *split, "--stopwords", bad, "--out", tmp_path / "out"]
+
+
+def _config_case(tmp_path, pan_fixture):
+    bad = tmp_path / "run.json"
+    return bad, ["stats", "--config", bad]
+
+
+# Every input file the CLI reads, with the command that reads it; the text
+# files (problem, stopwords) take any decodable content.
+INPUT_FILES = {
+    "truth": (_truth_case, True),
+    "problem": (_problem_case, False),
+    "solution": (_solution_case, True),
+    "predictions-solutions": (_solutions_predictions_case, True),
+    "predictions-ensemble": (_ensemble_predictions_case, True),
+    "model": (_model_case, True),
+    "vocabulary": (_vocabulary_case, True),
+    "stopwords": (_stopwords_case, False),
+    "config": (_config_case, True),
+}
+BAD_CONTENTS = {"undecodable": b"\xff\xfe", "invalid-json": b"{not json", "deeply-nested": b"[" * 100_000}
+BAD_INPUTS = [
+    pytest.param(kind, content, id=f"{kind}-{content}")
+    for kind, (_, is_json) in INPUT_FILES.items()
+    for content in BAD_CONTENTS
+    if is_json or content == "undecodable"
+]
+
+
+@pytest.mark.parametrize(("kind", "content"), BAD_INPUTS)
+def test_bad_input_file_is_exit_2_naming_it(capsys, caplog, pan_fixture, tmp_path, kind, content):
+    case, _ = INPUT_FILES[kind]
+    bad, argv = case(tmp_path, pan_fixture)
+    bad.write_bytes(BAD_CONTENTS[content])
+    code = cli.main([str(a) for a in argv])
+    errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+    assert code == 2
+    assert len(errors) == 1 and errors[0].exc_info is None
+    message = errors[0].getMessage()
+    assert str(bad) in message and "\n" not in message
+    assert "Traceback" not in caplog.text + capsys.readouterr().err

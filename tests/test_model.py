@@ -287,6 +287,26 @@ class TestExternalPredictions:
         with pytest.raises(FormatError, match="source"):
             load_external_predictions(path)
 
+    @pytest.mark.parametrize("line", ["[1,2]", '"x"', "3", "null"])
+    def test_non_object_line_rejected(self, tmp_path, line):
+        path = tmp_path / "preds.ndjson"
+        path.write_text('{"doc_id":1,"pair_index":0,"score":0.9,"source":"m1"}\n' + line + "\n")
+        with pytest.raises(FormatError, match=r"preds\.ndjson:2: not a JSON object"):
+            load_external_predictions(path)
+
+    def test_lines_split_as_text_mode_does(self, tmp_path):
+        """CRLF and CR end a line; U+2028 and U+0085 inside a JSON string do not."""
+        path = tmp_path / "preds.ndjson"
+        lines = [
+            '{"doc_id":1,"pair_index":0,"score":0.25,"source":"a\u2028b"}',
+            '{"doc_id":1,"pair_index":1,"score":0.75,"source":"a\x85b"}',
+            '{"doc_id":2,"pair_index":0,"score":0.5,"source":"c"}',
+        ]
+        path.write_bytes(("\r\n".join(lines[:2]) + "\r" + lines[2] + "\r\n").encode("utf-8"))
+        records = load_external_predictions(path)
+        assert [r.source for r in records] == ["a\u2028b", "a\x85b", "c"]
+        assert [r.label for r in records] == [0, 1, 1]
+
     def test_round_trip_with_save(self, tmp_path):
         records = [
             PredictionRecord(doc_id=1, pair_index=0, score=0.25, label=0, source="m"),
@@ -391,6 +411,13 @@ class TestModelSerialization:
         with pytest.raises(FormatError, match="version"):
             load_model(path)
 
+    @pytest.mark.parametrize("version", ["true", "1.0"])
+    def test_version_must_be_an_integer(self, tmp_path, version):
+        path = tmp_path / "model.json"
+        path.write_text(f'{{"version": {version}, "dimension": 1, "bias": 0, "lambda": 1, "weights": []}}')
+        with pytest.raises(FormatError, match=f"unsupported model version {version.title()}"):
+            load_model(path)
+
     def test_negative_index_rejected(self, tmp_path):
         path = tmp_path / "model.json"
         path.write_text('{"version": 1, "dimension": 3, "bias": 0, "lambda": 1, "weights": [[-1, 2.0]]}')
@@ -402,6 +429,28 @@ class TestModelSerialization:
         path = tmp_path / "model.json"
         path.write_text(f'{{"version": 1, "dimension": 3, "bias": 0, "lambda": 1, "weights": [[{index}, 2.0]]}}')
         with pytest.raises(FormatError, match="non-integer weight index"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [
+            ("dimension", "3"),
+            ("dimension", True),
+            ("dimension", 2.9),
+            ("bias", "0.5"),
+            ("bias", False),
+            ("lambda", "0.5"),
+            ("lambda", False),
+            ("weights", [[0, "1.5"]]),
+            ("weights", [[0, 10**400]]),
+        ],
+    )
+    def test_mistyped_field_rejected(self, tmp_path, field, value):
+        payload = {"version": 1, "dimension": 3, "bias": 0.5, "lambda": 1e-4, "weights": [[0, 1.5]]}
+        payload[field] = value
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FormatError, match="model file"):
             load_model(path)
 
     def test_duplicate_index_rejected(self, tmp_path):
