@@ -93,10 +93,11 @@ def _load_split(
     if not args.dataset_root.is_dir():
         raise FileNotFoundError(f"dataset root not found: {args.dataset_root}")
     directory = corpus.split_directory(args.dataset_root, difficulty, args.split)
-    docs = corpus.load_documents(directory, difficulty)
+    listing = corpus.list_split(directory)
+    docs = corpus.load_documents(directory, difficulty, listing)
     if not docs:
         raise UsageError(f"no documents found in {directory}")
-    return docs, corpus.load_truth(directory, docs) if labeled else None
+    return docs, corpus.load_truth(directory, docs, listing) if labeled else None
 
 
 def _write_predictions(records: list[model_mod.PredictionRecord], out: Path) -> int:

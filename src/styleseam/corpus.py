@@ -108,8 +108,12 @@ def split_directory(
     return Path(root) / name / split
 
 
-def _scan_directory(directory: Path) -> tuple[dict[int, Path], dict[int, Path]]:
-    """Map doc ids to problem and truth files; warn about stray files."""
+Listing = tuple[dict[int, Path], dict[int, Path]]
+
+
+def list_split(directory: str | Path) -> Listing:
+    """Map doc ids to problem and truth files, warning about each stray file; the loaders take it as `listing`."""
+    directory = Path(directory)
     if not directory.is_dir():
         raise FileNotFoundError(f"dataset directory not found: {directory}")
     problems: dict[int, Path] = {}
@@ -184,13 +188,13 @@ def read_artifact(path: str | Path, what: str, version: int) -> dict:
     return payload
 
 
-def load_documents(directory: str | Path, difficulty: Difficulty) -> list[Document]:
-    """Load all problem-<N>.txt files in `directory`, ordered by ascending N.
+def load_documents(directory: str | Path, difficulty: Difficulty, listing: Listing | None = None) -> list[Document]:
+    """Load all problem-<N>.txt files in `directory` (or in its `listing`), ordered by ascending N.
 
     Raises FormatError for undecodable or paragraph-free files; OSError
     propagates for unreadable files.
     """
-    problems, _ = _scan_directory(Path(directory))
+    problems, _ = listing or list_split(directory)
     documents = []
     for doc_id in sorted(problems):
         path = problems[doc_id]
@@ -214,14 +218,16 @@ def _parse_truth(path: Path, doc_id: int) -> TruthRecord:
     return TruthRecord(doc_id=doc_id, authors=authors, changes=tuple(changes))
 
 
-def load_truth(directory: str | Path, documents: Sequence[Document] | None = None) -> list[TruthRecord]:
-    """Load all truth-problem-<N>.json files, ordered by ascending N.
+def load_truth(
+    directory: str | Path, documents: Sequence[Document] | None = None, listing: Listing | None = None
+) -> list[TruthRecord]:
+    """Load all truth-problem-<N>.json files in `directory` (or in its `listing`), ordered by ascending N.
 
     The changes length is checked against the paragraph count of document N:
     taken from `documents` when given, else read from the sibling
     problem-<N>.txt if it exists (an undecodable sibling is a FormatError).
     """
-    problems, truth_files = _scan_directory(Path(directory))
+    problems, truth_files = listing or list_split(directory)
     paragraph_counts = {} if documents is None else {doc.id: len(doc.paragraphs) for doc in documents}
     records = []
     for doc_id in sorted(truth_files):

@@ -11,10 +11,11 @@ from __future__ import annotations
 import json
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
 from .corpus import ParagraphPair, is_int, is_number, read_artifact, read_json_lines
 from .errors import DataError, FormatError, UsageError
@@ -74,21 +75,17 @@ class LinearModel:
         return int(self.weights.shape[0])
 
 
-@dataclass(frozen=True)
-class PredictionRecord:
-    """Per-pair output of any classifier, internal or external."""
+class PredictionRecord(NamedTuple):
+    """Per-pair output of any classifier, internal or external.
+
+    Unchecked: scores are checked where they enter (`predict`, `load_external_predictions`).
+    """
 
     doc_id: int
     pair_index: int
     score: float
     label: int
     source: str
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.score <= 1.0:
-            raise UsageError(f"score must be in [0, 1], got {self.score}")
-        if self.label != _label(self.score):
-            raise UsageError(f"label {self.label} inconsistent with score {self.score}")
 
 
 def _label(score: float) -> int:
@@ -213,6 +210,8 @@ def predict(
             f"feature dimension {features.dimension} does not match model {model.dimension}"
         )
     margin = float(model.weights[features.indices] @ features.values) + model.bias
+    if math.isnan(margin):
+        raise DataError("prediction margin is NaN: the model weights overflow or are not finite")
     score = _sigmoid(margin)
     return PredictionRecord(doc_id, pair_index, score, _label(score), source)
 
@@ -220,11 +219,8 @@ def predict(
 def random_baseline(pairs: Sequence[ParagraphPair], seed: int) -> list[PredictionRecord]:
     """Uniform coin-flip labels per pair from a seeded generator; score = label."""
     rng = random.Random(seed)
-    records = []
-    for pair in pairs:
-        label = rng.randrange(2)
-        records.append(PredictionRecord(pair.doc_id, pair.pair_index, float(label), label, "random"))
-    return records
+    labels = [rng.randrange(2) for _ in pairs]
+    return [PredictionRecord(p.doc_id, p.pair_index, float(label), label, "random") for p, label in zip(pairs, labels)]
 
 
 def load_external_predictions(path: str | Path) -> list[PredictionRecord]:
@@ -244,10 +240,10 @@ def load_external_predictions(path: str | Path) -> list[PredictionRecord]:
             doc_id, pair_index, score, source = raw["doc_id"], raw["pair_index"], raw["score"], raw["source"]
         except KeyError as exc:
             raise FormatError(f"{path}:{lineno}: missing field {exc}") from exc
-        if not is_int(doc_id):
-            raise FormatError(f"{path}:{lineno}: doc_id must be an integer")
-        if not is_int(pair_index):
-            raise FormatError(f"{path}:{lineno}: pair_index must be an integer")
+        if not is_int(doc_id) or doc_id < 0:
+            raise FormatError(f"{path}:{lineno}: doc_id must be an integer >= 0")
+        if not is_int(pair_index) or pair_index < 0:
+            raise FormatError(f"{path}:{lineno}: pair_index must be an integer >= 0")
         if not is_number(score):
             raise FormatError(f"{path}:{lineno}: score must be a number")
         if not isinstance(source, str):
@@ -267,12 +263,8 @@ def save_predictions(records: Sequence[PredictionRecord], path: str | Path) -> N
     """Write records in the line-delimited JSON exchange format."""
     with open(path, "w", encoding="utf-8") as handle:
         for r in records:
-            handle.write(
-                json.dumps(
-                    {"doc_id": r.doc_id, "pair_index": r.pair_index, "score": r.score, "source": r.source}
-                )
-                + "\n"
-            )
+            line = {"doc_id": r.doc_id, "pair_index": r.pair_index, "score": r.score, "source": r.source}
+            handle.write(json.dumps(line) + "\n")
 
 
 def ensemble(
@@ -281,23 +273,19 @@ def ensemble(
 ) -> list[PredictionRecord]:
     """Combine per-model prediction lists over one shared (doc, pair) set.
 
-    majority: label by vote (odd model count required), score = mean label.
-    softmax_mean: score = mean score, label by threshold.
+    majority (odd model count required): score = mean label, so label 1 iff most vote 1.
+    softmax_mean: score = mean score. Either way the label is the threshold rule.
     """
     if not predictions_by_model:
         raise UsageError("ensemble needs at least one prediction list")
     if mode is EnsembleMode.MAJORITY and len(predictions_by_model) % 2 == 0:
         raise UsageError(f"majority vote needs an odd model count, got {len(predictions_by_model)}")
 
-    keyed: list[dict[tuple[int, int], PredictionRecord]] = []
-    for m, records in enumerate(predictions_by_model):
-        table: dict[tuple[int, int], PredictionRecord] = {}
-        for r in records:
-            key = (r.doc_id, r.pair_index)
-            if key in table:
-                raise UsageError(f"model {m} has multiple records for pair {key}")
-            table[key] = r
-        keyed.append(table)
+    keyed = [{(r.doc_id, r.pair_index): r for r in records} for records in predictions_by_model]
+    for m, (records, table) in enumerate(zip(predictions_by_model, keyed)):
+        if len(table) < len(records):
+            key = next(key for key, n in Counter((r.doc_id, r.pair_index) for r in records).items() if n > 1)
+            raise UsageError(f"model {m} has multiple records for pair {key}")
     reference = set(keyed[0])
     for m, table in enumerate(keyed[1:], start=1):
         if set(table) != reference:
@@ -312,13 +300,10 @@ def ensemble(
     for key in sorted(reference):
         members = [table[key] for table in keyed]
         if mode is EnsembleMode.MAJORITY:
-            votes = sum(r.label for r in members)
-            label = 1 if votes * 2 > len(members) else 0
-            score = votes / len(members)
+            score = sum(r.label for r in members) / len(members)
         else:
             score = sum(r.score for r in members) / len(members)
-            label = _label(score)
-        combined.append(PredictionRecord(*key, score, label, source))
+        combined.append(PredictionRecord(*key, score, _label(score), source))
     return combined
 
 

@@ -164,6 +164,27 @@ class TestPredictAndEvaluate:
         assert code == 2
         assert "unsupported model version None" in caplog.text
 
+    def test_nan_margin_is_exit_2_without_predictions(self, capsys, caplog, synth_corpus, trained, tmp_path):
+        # Finite weights, so load_model accepts them, whose dot products overflow to NaN.
+        payload = json.loads((trained / cli.MODEL_FILENAME).read_text())
+        payload["weights"] = [[i, 1.7e308 if i % 2 == 0 else -1.7e308] for i in range(payload["dimension"])]
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(payload))
+        out = tmp_path / "out"
+        code, _ = run_cli(
+            capsys,
+            "predict",
+            "--dataset-root", synth_corpus,
+            "--difficulty", "easy",
+            "--split", "validation",
+            "--model", model,
+            "--vocab", trained / cli.VOCABULARY_FILENAME,
+            "--out", out,
+        )
+        assert code == 2
+        assert "nan" in caplog.text.lower()
+        assert not (out / cli.PREDICTIONS_FILENAME).exists()
+
     def test_pipeline(self, capsys, synth_corpus, trained, tmp_path):
         out = tmp_path / "pred"
         code, _ = run_cli(
@@ -325,6 +346,18 @@ class TestEnsembleCommand:
         code, _ = run_cli(capsys, "ensemble", a, b, c, "--mode", "majority", "--out", tmp_path / "x")
         assert code == 2
 
+    def test_negative_pair_index_is_exit_2(self, capsys, caplog, tmp_path):
+        files = []
+        for name in ("a", "b", "c"):
+            path = tmp_path / f"{name}.ndjson"
+            path.write_text(json.dumps({"doc_id": 1, "pair_index": -1, "score": 0.9, "source": name}) + "\n")
+            files.append(path)
+        out = tmp_path / "combined"
+        code, _ = run_cli(capsys, "ensemble", *files, "--mode", "majority", "--out", out)
+        assert code == 2
+        assert "pair_index must be an integer >= 0" in caplog.text
+        assert not (out / cli.PREDICTIONS_FILENAME).exists()
+
 
 class TestSolutionsCommand:
     def test_conversion(self, capsys, tmp_path):
@@ -337,6 +370,15 @@ class TestSolutionsCommand:
         code, _ = run_cli(capsys, "solutions", preds, "--out", out)
         assert code == 0
         assert json.loads((out / "solution-problem-4.json").read_text()) == {"changes": [1, 0]}
+
+    def test_negative_doc_id_is_exit_2(self, capsys, caplog, tmp_path):
+        preds = tmp_path / "preds.ndjson"
+        preds.write_text('{"doc_id": -3, "pair_index": 0, "score": 0.9, "source": "m"}\n')
+        out = tmp_path / "solutions"
+        code, _ = run_cli(capsys, "solutions", preds, "--out", out)
+        assert code == 2
+        assert "doc_id must be an integer >= 0" in caplog.text
+        assert not list(tmp_path.rglob("solution-problem-*.json"))
 
 
 class TestConfigFile:
@@ -458,6 +500,16 @@ class TestRejectedFlags:
             cli.main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["stats", "train"])
+def test_stray_file_warned_once(capsys, caplog, pan_fixture, tmp_path, command):
+    argv = [command, "--dataset-root", pan_fixture, "--difficulty", "easy", "--split", "train"]
+    code, _ = run_cli(capsys, *argv, *(["--out", tmp_path] if command == "train" else []))
+    assert code == 0
+    warnings = [r.getMessage() for r in caplog.records if "ignoring stray file" in r.getMessage()]
+    assert len(warnings) == 1
+    assert warnings[0].endswith("dataset-info.md")
 
 
 def test_non_utf8_problem_next_to_truth_is_exit_2(capsys, tmp_path):

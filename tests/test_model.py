@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from styleseam.corpus import ParagraphPair
-from styleseam.errors import DataError, FormatError, UsageError
+from styleseam.errors import DataError, FormatError, StyleSeamError, UsageError
 from styleseam.features import SparseFeatureVector
 from styleseam.model import (
     EnsembleMode,
@@ -218,6 +218,11 @@ class TestPredict:
         with pytest.raises(UsageError):
             predict(model, _vec({0: 1.0}, 2))
 
+    def test_nan_margin_rejected(self):
+        model = LinearModel(weights=np.array([np.nan]), bias=0.0, l2=1e-4)
+        with pytest.raises(StyleSeamError, match="(?i)nan"):
+            predict(model, _vec({0: 1.0}, 1))
+
     def test_label_invariant_under_positive_rescaling(self):
         rng = np.random.default_rng(3)
         weights = rng.normal(size=6)
@@ -226,6 +231,14 @@ class TestPredict:
         for _ in range(50):
             vec = _dense_vec(rng.normal(size=6))
             assert predict(model, vec).label == predict(scaled, vec).label
+
+
+def test_prediction_record_is_a_plain_tuple():
+    record = PredictionRecord(4, 2, 0.75, 1, "m")
+    assert record == (4, 2, 0.75, 1, "m")
+    assert PredictionRecord._fields == ("doc_id", "pair_index", "score", "label", "source")
+    with pytest.raises(AttributeError):
+        record.score = 0.1
 
 
 class TestRandomBaseline:
@@ -261,6 +274,21 @@ class TestExternalPredictions:
         path = tmp_path / "preds.ndjson"
         path.write_text('{"doc_id":1,"pair_index":0,"score":1.5,"source":"m1"}\n')
         with pytest.raises(FormatError, match="outside"):
+            load_external_predictions(path)
+
+    def test_nan_score_rejected(self, tmp_path):
+        path = tmp_path / "preds.ndjson"
+        path.write_text('{"doc_id":1,"pair_index":0,"score":NaN,"source":"m1"}\n')
+        with pytest.raises(FormatError, match="score nan outside"):
+            load_external_predictions(path)
+
+    @pytest.mark.parametrize("field", ["doc_id", "pair_index"])
+    def test_negative_id_rejected(self, tmp_path, field):
+        line = {"doc_id": 1, "pair_index": 0, "score": 0.9, "source": "m1"}
+        line[field] = -3
+        path = tmp_path / "preds.ndjson"
+        path.write_text(json.dumps(line) + "\n")
+        with pytest.raises(FormatError, match=rf"preds\.ndjson:1: {field} must be an integer >= 0"):
             load_external_predictions(path)
 
     def test_sorted_output(self, tmp_path):
@@ -363,6 +391,19 @@ class TestEnsemble:
         with pytest.raises(UsageError):
             ensemble([], EnsembleMode.MAJORITY)
 
+    def test_duplicate_pair_rejected(self):
+        member = _records([0.2, 0.7], "a") + _records([0.9], "b")
+        with pytest.raises(UsageError, match=r"model 0 has multiple records for pair \(1, 0\)"):
+            ensemble([member], EnsembleMode.SOFTMAX_MEAN)
+
+    @pytest.mark.parametrize("n", [1, 3, 5, 7, 9])
+    def test_majority_label_is_strict_majority(self, n):
+        for votes in range(n + 1):
+            members = [_records([1.0 if m < votes else 0.0], f"m{m}") for m in range(n)]
+            (combined,) = ensemble(members, EnsembleMode.MAJORITY)
+            assert combined.label == (1 if votes * 2 > n else 0), (n, votes)
+            assert combined.score == votes / n
+
     def test_modes_agree_on_binary_scores(self):
         rng = random.Random(17)
         members = [
@@ -460,10 +501,3 @@ class TestModelSerialization:
         )
         with pytest.raises(FormatError, match="repeats weight index 0"):
             load_model(path)
-
-
-def test_prediction_record_consistency_enforced():
-    with pytest.raises(UsageError):
-        PredictionRecord(doc_id=1, pair_index=0, score=0.9, label=0, source="x")
-    with pytest.raises(UsageError):
-        PredictionRecord(doc_id=1, pair_index=0, score=1.5, label=1, source="x")
