@@ -132,7 +132,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     """Fit vocabulary and linear model on a labeled split; write both artifacts."""
-    from . import features  # numpy: only train and predict load it
+    import numpy as np  # only train and predict load numpy
+
+    from . import features
     if args.split == "test":
         raise UsageError("cannot train on the unlabeled test split")
     truncation = _truncation(args)
@@ -156,12 +158,13 @@ def cmd_train(args: argparse.Namespace) -> int:
     labels = [p.label for p in pairs]
     trained = model_mod.train_linear_svm(vectors, labels, train_config)
 
-    objective = model_mod.hinge_objective(trained, vectors, labels)
-    correct = sum(
-        1
-        for vec, label in zip(vectors, labels)
-        if model_mod.predict(trained, vec).label == label
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # predict reports a NaN margin itself
+        objective = model_mod.hinge_objective(trained, vectors, labels)
+        correct = sum(
+            1
+            for vec, label in zip(vectors, labels)
+            if model_mod.predict(trained, vec).label == label
+        )
     logger.info(
         "final training objective %.6f, training accuracy %.4f (%d/%d)",
         objective,
@@ -179,6 +182,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     """Run a trained model over a split; write predictions and solution files."""
+    import numpy as np
+
     from . import features
     truncation = _truncation(args)
     difficulty = _single_difficulty(args)
@@ -195,10 +200,11 @@ def cmd_predict(args: argparse.Namespace) -> int:
     docs, _ = _load_split(args, difficulty, labeled=False)
     pairs = corpus.build_pairs(docs, None)
     vectors = features.featurize(pairs, vocab, truncation)
-    records = [
-        model_mod.predict(trained, vec, doc_id=pair.doc_id, pair_index=pair.pair_index)
-        for pair, vec in zip(pairs, vectors)
-    ]
+    with np.errstate(over="ignore", invalid="ignore"):  # predict reports a NaN margin itself
+        records = [
+            model_mod.predict(trained, vec, doc_id=pair.doc_id, pair_index=pair.pair_index)
+            for pair, vec in zip(pairs, vectors)
+        ]
     return _write_predictions(records, out)
 
 

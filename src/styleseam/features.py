@@ -24,14 +24,17 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-# tokenize/truncate are looked up on the module at call time, so wrappers
-# installed on its attributes (as the tracing benchmark does) see each call.
+# token_count and truncate_text are looked up on the module at call time, and
+# truncate_text calls tokenize through the same namespace, so wrappers installed
+# on these attributes (as the tracing benchmark does) see each call.
 from . import tokenization
 from .corpus import ParagraphPair, is_int, read_artifact, read_text
 from .errors import FormatError, UsageError
 from .tokenization import TruncationConfig
 
 _WORD_RE = re.compile(r"[^\W_]+")
+# Every ASCII character that is not a letter or digit, as a space: the separators of ASCII word tokens.
+_ASCII_SEPARATORS = str.maketrans({chr(c): " " for c in range(128) if not chr(c).isalnum()})
 
 VOCABULARY_FORMAT_VERSION = 1
 
@@ -76,7 +79,9 @@ class Vocabulary:
 
 
 def word_tokens(text: str) -> list[str]:
-    """Lowercased alphanumeric runs of `text`."""
+    """Lowercased alphanumeric runs of `text`; ASCII text is split without a regex scan."""
+    if text.isascii():
+        return text.lower().translate(_ASCII_SEPARATORS).split()
     return _WORD_RE.findall(text.lower())
 
 
@@ -154,17 +159,20 @@ class ParagraphTable:
     The budget check counts tokens without a regex. Each paragraph that is a
     side of a pair within budget gets one row. A cut pair's sides are the
     space-joined tokens truncation keeps, and each distinct kept text gets
-    one row; its paragraphs are tokenized once each. Without a truncation
-    config no pair is cut. A scan is kept compactly: term ids, counts and
+    one row; only the kept end of each side is tokenized, its length known
+    from the budget check's counts. Without a truncation config no pair is
+    cut. A scan is kept compactly: term ids, counts and
     handcrafted counts.
     """
 
     def __init__(self, pairs: Iterable[ParagraphPair], truncation: TruncationConfig | None = None) -> None:
         self.pairs, self.truncation = list(pairs), truncation
         self.cut = [False] * len(self.pairs)
+        self._sizes: dict[str, int] = {}  # token count of each side of a cut pair
         if truncation is not None:
             sizes = {text: tokenization.token_count(text) for text in dict.fromkeys(self._sides())}
             self.cut = [sizes[p.left] + sizes[p.right] > truncation.budget for p in self.pairs]
+            self._sizes = {text: sizes[text] for text in self._sides(cut=True)}
         self._uncut = set(self._sides(cut=False))
         self._rows: dict[str, int] = {}  # side text (a paragraph or a kept text) -> its row
         self._terms: dict[str, int] = {}
@@ -195,21 +203,12 @@ class ParagraphTable:
 
     def featurize(self, vocab: Vocabulary) -> PairFeatures:
         """Every pair's vector under `vocab`, scanning the sides that fitting did not."""
-        # A cut pair's paragraph is tokenized once and its tokens kept until its last cut pair.
-        uses = Counter(self._sides(cut=True))
-        tokens: dict[str, tokenization.TokenSeq] = {}
-
-        def side_tokens(text: str) -> tokenization.TokenSeq:
-            if text not in tokens:
-                tokens[text] = tokenization.tokenize(text)
-            uses[text] -= 1
-            return tokens[text] if uses[text] else tokens.pop(text)
-
         left, right = [], []
         for pair, cut in zip(self.pairs, self.cut):
             sides = (pair.left, pair.right)
             if cut:
-                kept = tokenization.truncate(side_tokens(pair.left), side_tokens(pair.right), self.truncation)
+                sizes = (self._sizes[pair.left], self._sizes[pair.right])
+                kept = tokenization.truncate_text(pair.left, pair.right, sizes, self.truncation)
                 sides = tuple(" ".join(side) for side in kept)
             left.append(self._row(sides[0]))
             right.append(self._row(sides[1]))

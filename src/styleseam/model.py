@@ -174,25 +174,27 @@ def train_linear_svm(
     rng = np.random.default_rng(cfg.seed)
 
     step = 0
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            lr = warmup_schedule(step, total_steps, cfg)
-            # Subgradient of 0.5*l2*||w||^2 + mean_batch hinge.
-            w *= 1.0 - lr * cfg.l2
-            scale = lr / len(batch)
-            for i in batch:
-                vec = features[i]
-                margin = y[i] * (float(w[vec.indices] @ vec.values) + b)
-                if margin < 1.0:
-                    w[vec.indices] += scale * y[i] * vec.values
-                    b += scale * y[i]
-            step += 1
-        if not (math.isfinite(b) and np.all(np.isfinite(w))):
-            raise DataError(f"training diverged in epoch {epoch + 1}: weights or bias not finite; lower the rate")
-        if on_epoch_end is not None:
-            on_epoch_end(epoch, LinearModel(weights=w.copy(), bias=b, l2=cfg.l2))
+    # A rate too high overflows to inf and NaN; the divergence check reports that, not numpy.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            order = rng.permutation(n)
+            for start in range(0, n, cfg.batch_size):
+                batch = order[start : start + cfg.batch_size]
+                lr = warmup_schedule(step, total_steps, cfg)
+                # Subgradient of 0.5*l2*||w||^2 + mean_batch hinge.
+                w *= 1.0 - lr * cfg.l2
+                scale = lr / len(batch)
+                for i in batch:
+                    vec = features[i]
+                    margin = y[i] * (float(w[vec.indices] @ vec.values) + b)
+                    if margin < 1.0:
+                        w[vec.indices] += scale * y[i] * vec.values
+                        b += scale * y[i]
+                step += 1
+            if not (math.isfinite(b) and np.all(np.isfinite(w))):
+                raise DataError(f"training diverged in epoch {epoch + 1}: weights or bias not finite; lower the rate")
+            if on_epoch_end is not None:
+                on_epoch_end(epoch, LinearModel(weights=w.copy(), bias=b, l2=cfg.l2))
     return LinearModel(weights=w, bias=b, l2=cfg.l2)
 
 

@@ -76,6 +76,21 @@ def token_count(text: str) -> int:
     return classes.count(b".") + classes.replace(b".", b" ").count(b" a")
 
 
+def keep_counts(left: int, right: int, cfg: TruncationConfig) -> tuple[int, int]:
+    """Tokens each side keeps under `cfg`, from the sides' token counts: the one truncation rule.
+
+    transition caps each side at half the budget, the spare token of an
+    odd budget going right. longest_first trims the longer side (the right
+    one on ties) until the pair fits.
+    """
+    half = cfg.budget // 2
+    if cfg.strategy is TruncationStrategy.TRANSITION:
+        return min(left, half), min(right, cfg.budget - half)
+    if left + right <= cfg.budget:
+        return left, right
+    return min(left, max(cfg.budget - half, cfg.budget - right)), min(right, max(half, cfg.budget - left))
+
+
 def truncate_transition(left: TokenSeq, right: TokenSeq, cfg: TruncationConfig) -> tuple[TokenSeq, TokenSeq]:
     """Keep the end of `left` and the start of `right` around the seam.
 
@@ -86,13 +101,8 @@ def truncate_transition(left: TokenSeq, right: TokenSeq, cfg: TruncationConfig) 
     """
     if cfg.strategy is not TruncationStrategy.TRANSITION:
         raise UsageError(f"config strategy is {cfg.strategy}, not transition")
-    keep_left = cfg.budget // 2
-    keep_right = cfg.budget - keep_left
-    if len(left) > keep_left:
-        left = left[-keep_left:]
-    if len(right) > keep_right:
-        right = right[:keep_right]
-    return left, right
+    keep_left, keep_right = keep_counts(len(left), len(right), cfg)
+    return left[len(left) - keep_left :], right[:keep_right]
 
 
 def truncate_longest_first(left: TokenSeq, right: TokenSeq, cfg: TruncationConfig) -> tuple[TokenSeq, TokenSeq]:
@@ -105,11 +115,7 @@ def truncate_longest_first(left: TokenSeq, right: TokenSeq, cfg: TruncationConfi
     """
     if cfg.strategy is not TruncationStrategy.LONGEST_FIRST:
         raise UsageError(f"config strategy is {cfg.strategy}, not longest_first")
-    if len(left) + len(right) <= cfg.budget:
-        return left, right
-    half = cfg.budget // 2
-    keep_left = min(len(left), max(cfg.budget - half, cfg.budget - len(right)))
-    keep_right = min(len(right), max(half, cfg.budget - len(left)))
+    keep_left, keep_right = keep_counts(len(left), len(right), cfg)
     return left[:keep_left], right[:keep_right]
 
 
@@ -118,6 +124,37 @@ def truncate(left: TokenSeq, right: TokenSeq, cfg: TruncationConfig) -> tuple[To
     if cfg.strategy is TruncationStrategy.TRANSITION:
         return truncate_transition(left, right, cfg)
     return truncate_longest_first(left, right, cfg)
+
+
+def truncate_text(left: str, right: str, sizes: tuple[int, int], cfg: TruncationConfig) -> tuple[TokenSeq, TokenSeq]:
+    """`truncate(tokenize(left), tokenize(right), cfg)`, tokenizing only the ends kept.
+
+    `sizes` are the sides' token counts (`token_count`). transition keeps
+    the end of `left`; every other kept side is a start.
+    """
+    keep_left, keep_right = keep_counts(*sizes, cfg)
+    from_end = cfg.strategy is TruncationStrategy.TRANSITION
+    return _kept_end(left, sizes[0], keep_left, from_end), _kept_end(right, sizes[1], keep_right, False)
+
+
+def _kept_end(text: str, size: int, keep: int, from_end: bool) -> TokenSeq:
+    """The first (or with `from_end`, the last) `keep` of the `size` tokens of `text`.
+
+    Only a slice at that end is tokenized, sized from the text's characters
+    per token and doubled until it holds more than `keep` tokens. Every
+    token is a run of one character class, so only the token at the cut
+    edge of the slice can be partial, and the `keep` tokens before it are
+    whole.
+    """
+    if keep >= size:
+        return tokenize(text)
+    # An eighth and a few characters over the average width of keep + 1 tokens rarely falls short.
+    width = len(text) * (keep + 1) // size * 9 // 8 + 8
+    while True:
+        tokens = tokenize(text[-width:] if from_end else text[:width])
+        if len(tokens) > keep or width >= len(text):
+            return tokens[len(tokens) - keep :] if from_end else tokens[:keep]
+        width *= 2
 
 
 def assemble_pair_input(left: TokenSeq, right: TokenSeq, budget: int = TruncationConfig.budget) -> PairInput:

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import logging
 import shutil
+import warnings
 from pathlib import Path
 
 import pytest
@@ -114,16 +115,19 @@ class TestTrain:
         assert code == 2
 
     def test_divergence_is_exit_2_without_model(self, capsys, caplog, synth_corpus, tmp_path):
-        code, _ = run_cli(
-            capsys,
-            "train",
-            "--dataset-root", synth_corpus,
-            "--difficulty", "easy",
-            "--peak-lr", "1e300",
-            "--epochs", "1",
-            "--out", tmp_path,
-        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _ = run_cli(
+                capsys,
+                "train",
+                "--dataset-root", synth_corpus,
+                "--difficulty", "easy",
+                "--peak-lr", "1e300",
+                "--epochs", "1",
+                "--out", tmp_path,
+            )
         assert code == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]  # the error alone explains it
         assert "training diverged in epoch 1" in caplog.text
         assert not (tmp_path / cli.MODEL_FILENAME).exists()
 
@@ -171,17 +175,20 @@ class TestPredictAndEvaluate:
         model = tmp_path / "model.json"
         model.write_text(json.dumps(payload))
         out = tmp_path / "out"
-        code, _ = run_cli(
-            capsys,
-            "predict",
-            "--dataset-root", synth_corpus,
-            "--difficulty", "easy",
-            "--split", "validation",
-            "--model", model,
-            "--vocab", trained / cli.VOCABULARY_FILENAME,
-            "--out", out,
-        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _ = run_cli(
+                capsys,
+                "predict",
+                "--dataset-root", synth_corpus,
+                "--difficulty", "easy",
+                "--split", "validation",
+                "--model", model,
+                "--vocab", trained / cli.VOCABULARY_FILENAME,
+                "--out", out,
+            )
         assert code == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]  # the error alone explains it
         assert "nan" in caplog.text.lower()
         assert not (out / cli.PREDICTIONS_FILENAME).exists()
 

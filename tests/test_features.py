@@ -76,6 +76,39 @@ class TestFitVocabulary:
         assert fit_vocabulary(texts, set()).doc_freq == fit_vocabulary(shuffled, set()).doc_freq
 
 
+ascii_text = st.text(alphabet=st.characters(max_codepoint=127))
+
+
+class TestWordTokens:
+    """The ASCII split path of `word_tokens` against the regex it replaces."""
+
+    @staticmethod
+    def _regex(text: str) -> list[str]:
+        return features._WORD_RE.findall(text.lower())
+
+    def test_every_ascii_character(self):
+        # _ and the separators str.split treats as whitespace (\x0b, \x0c, \x1c-\x1f) among them
+        for code in range(128):
+            char = chr(code)
+            for text in (char, f"Ab{char}cD", f"{char}{char} x{char}9{char}"):
+                assert features.word_tokens(text) == self._regex(text), repr(text)
+        every = "".join(map(chr, range(128)))
+        alphabet = "abcdefghijklmnopqrstuvwxyz"
+        assert features.word_tokens(every) == self._regex(every) == ["0123456789", alphabet, alphabet]
+
+    @settings(max_examples=300, deadline=None)
+    @given(ascii_text)
+    def test_matches_regex_on_ascii(self, text):
+        assert features.word_tokens(text) == self._regex(text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(ascii_text, st.lists(st.tuples(st.sampled_from(["İ", "Σ", "東", "ß", "ǅ"]), ascii_text), min_size=1))
+    def test_matches_regex_on_mixed_text(self, head, rest):
+        # Non-ASCII text takes the regex path; İ lowercases to two characters.
+        text = head + "".join(letter + tail for letter, tail in rest)
+        assert features.word_tokens(text) == self._regex(text)
+
+
 class TestTfidfVector:
     @pytest.fixture()
     def vocab(self) -> Vocabulary:
@@ -279,9 +312,24 @@ class TestFeaturize:
         ]
         return cut, kept
 
+    def _check_tokenized(self, tokenized, cut, cfg):
+        """Each argument is a kept end of a cut side, and LONG is never tokenized whole.
+
+        transition keeps the end of a left side; every other kept side is a start.
+        """
+        from_end = cfg.strategy is TruncationStrategy.TRANSITION
+        ends = [(p.left, from_end) for p in cut] + [(p.right, False) for p in cut]
+        for text in tokenized:
+            assert any(side.endswith(text) if end else side.startswith(text) for side, end in ends), text
+        # The short sides are within their share and tokenized whole; the rest are slices of LONG.
+        sliced = [text for text in tokenized if text not in (self.A, self.B, self.C)]
+        assert sum(side == self.LONG for side, _ in ends) == 4
+        assert len(sliced) >= 4
+        assert all(len(text) < len(self.LONG) for text in sliced)
+
     @pytest.mark.parametrize("strategy", list(TruncationStrategy))
     def test_training_scans_each_distinct_paragraph_once(self, monkeypatch, strategy):
-        """Fitting and featurizing share one word scan per distinct paragraph; only cut pairs are tokenized."""
+        """Fitting and featurizing share one word scan per distinct paragraph; only kept ends are tokenized."""
         pairs = build_pairs(self.DOCS)
         cfg = TruncationConfig(budget=12, strategy=strategy)
         cut, kept = self._expected_scans(pairs, cfg)
@@ -294,8 +342,7 @@ class TestFeaturize:
         # LONG is cut the same way more than once; each distinct kept text is scanned once.
         assert len(set(kept)) < len(kept)
         assert sorted(calls["word_tokens"]) == sorted([self.A, self.B, self.C, self.LONG, *set(kept)])
-        assert sorted(calls["tokenize"]) == sorted({text for p in cut for text in (p.left, p.right)})
-        assert len(calls["truncate"]) == len(cut)
+        self._check_tokenized(calls["tokenize"], cut, cfg)
         assert len(vectors) == len(pairs)
         assert vocab == fit_vocabulary(paragraphs, {"the"})
 
@@ -308,8 +355,7 @@ class TestFeaturize:
         featurize(pairs, vocab, cfg)
         # LONG is a side of cut pairs only, so it is never word-scanned whole.
         assert sorted(calls["word_tokens"]) == sorted([self.A, self.B, self.C, *set(kept)])
-        assert sorted(calls["tokenize"]) == sorted({text for p in cut for text in (p.left, p.right)})
-        assert len(calls["truncate"]) == len(cut)
+        self._check_tokenized(calls["tokenize"], cut, cfg)
 
     def test_within_budget_never_tokenizes(self, monkeypatch):
         pairs = build_pairs(self.DOCS)

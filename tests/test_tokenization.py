@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from styleseam import tokenization
 from styleseam.errors import UsageError
 from styleseam.tokenization import (
     CLS,
@@ -13,7 +14,9 @@ from styleseam.tokenization import (
     assemble_pair_input,
     token_count,
     tokenize,
+    truncate,
     truncate_longest_first,
+    truncate_text,
     truncate_transition,
 )
 
@@ -195,6 +198,44 @@ def test_longest_first_matches_removal_oracle(case):
         assert len(out_left) + len(out_right) == budget
     # idempotence
     assert truncate_longest_first(out_left, out_right, cfg) == (out_left, out_right)
+
+
+# Whitespace runs and non-ASCII letters make characters per token uneven along a
+# text, so the first slice truncate_text tokenizes often holds too few tokens.
+UNEVEN_PIECES = ["word", "a1", "İ", "Σ", "東", "İİİ", "ΣΣ", "東東東", ".", "(", "_", "'", " ", "\t\n", " " * 40]
+uneven_texts = st.lists(st.sampled_from(UNEVEN_PIECES), max_size=60).map("".join)
+
+
+class TestTruncateText:
+    """`truncate_text` tokenizes only the kept ends, and equals truncating the whole tokenization."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(uneven_texts, uneven_texts, st.integers(2, 40), st.sampled_from(list(TruncationStrategy)))
+    def test_matches_truncate_of_tokenize(self, left, right, budget, strategy):
+        cfg = TruncationConfig(budget=budget, strategy=strategy)
+        sizes = (token_count(left), token_count(right))
+        assert truncate_text(left, right, sizes, cfg) == truncate(tokenize(left), tokenize(right), cfg)
+
+    @pytest.mark.parametrize("strategy", list(TruncationStrategy))
+    def test_short_slice_is_doubled(self, monkeypatch, strategy):
+        # A long space run keeps all but one token far from where a first slice ends, so it is doubled.
+        left = "a b c d e f g h i j" + " " * 300 + "z"
+        right = "a" + " " * 300 + "b c d e f g h i j k"
+        cfg = TruncationConfig(budget=8, strategy=strategy)
+        sliced = []
+        monkeypatch.setattr(tokenization, "tokenize", lambda text: sliced.append(text) or tokenize(text))
+        sizes = (token_count(left), token_count(right))
+        assert truncate_text(left, right, sizes, cfg) == truncate(tokenize(left), tokenize(right), cfg)
+        assert len(sliced) > 2
+        assert all(left.startswith(text) or left.endswith(text) or right.startswith(text) for text in sliced)
+
+    def test_side_within_its_share_is_tokenized_whole(self, monkeypatch):
+        sliced = []
+        monkeypatch.setattr(tokenization, "tokenize", lambda text: sliced.append(text) or tokenize(text))
+        cfg = TruncationConfig(budget=4, strategy=TruncationStrategy.LONGEST_FIRST)
+        right = " ".join("cdefghijklmnopqrstuvwxyz")
+        assert truncate_text("a b", right, (2, 24), cfg) == (("a", "b"), ("c", "d"))
+        assert sliced[0] == "a b" and right.startswith(sliced[1]) and len(sliced[1]) < len(right)
 
 
 class TestAssemblePairInput:
