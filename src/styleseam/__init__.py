@@ -57,7 +57,6 @@ __all__ = [
     "ParagraphPair",
     "PredictionRecord",
     "ScoreEntry",
-    "SparseFeatureVector",
     "SplitStats",
     "StyleSeamError",
     "TrainConfig",

@@ -132,9 +132,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     """Fit vocabulary and linear model on a labeled split; write both artifacts."""
-    import numpy as np  # only train and predict load numpy
-
-    from . import features
+    from . import features  # only train and predict load numpy
     if args.split == "test":
         raise UsageError("cannot train on the unlabeled test split")
     truncation = _truncation(args)
@@ -158,13 +156,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     labels = [p.label for p in pairs]
     trained = model_mod.train_linear_svm(vectors, labels, train_config)
 
-    with np.errstate(over="ignore", invalid="ignore"):  # predict reports a NaN margin itself
-        objective = model_mod.hinge_objective(trained, vectors, labels)
-        correct = sum(
-            1
-            for vec, label in zip(vectors, labels)
-            if model_mod.predict(trained, vec).label == label
-        )
+    objective = model_mod.hinge_objective(trained, vectors, labels)
+    correct = sum(r.label == label for r, label in zip(model_mod.predict(trained, vectors, pairs), labels))
     logger.info(
         "final training objective %.6f, training accuracy %.4f (%d/%d)",
         objective,
@@ -182,8 +175,6 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     """Run a trained model over a split; write predictions and solution files."""
-    import numpy as np
-
     from . import features
     truncation = _truncation(args)
     difficulty = _single_difficulty(args)
@@ -191,20 +182,10 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
     trained = model_mod.load_model(args.model)
     vocab = features.load_vocabulary(args.vocab or args.model.parent / VOCABULARY_FILENAME)
-    expected = 2 * (vocab.size + features.HANDCRAFTED_WIDTH)
-    if trained.dimension != expected:
-        raise UsageError(
-            f"model dimension {trained.dimension} does not match vocabulary-derived {expected}"
-        )
 
     docs, _ = _load_split(args, difficulty, labeled=False)
     pairs = corpus.build_pairs(docs, None)
-    vectors = features.featurize(pairs, vocab, truncation)
-    with np.errstate(over="ignore", invalid="ignore"):  # predict reports a NaN margin itself
-        records = [
-            model_mod.predict(trained, vec, doc_id=pair.doc_id, pair_index=pair.pair_index)
-            for pair, vec in zip(pairs, vectors)
-        ]
+    records = model_mod.predict(trained, features.featurize(pairs, vocab, truncation), pairs)
     return _write_predictions(records, out)
 
 

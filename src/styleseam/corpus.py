@@ -28,8 +28,9 @@ from .errors import FormatError, UsageError
 
 logger = logging.getLogger(__name__)
 
-_PROBLEM_RE = re.compile(r"^problem-(\d+)\.txt$")
-_TRUTH_RE = re.compile(r"^truth-problem-(\d+)\.json$")
+# A doc id is ASCII digits: \d would also take other scripts' digits, and int() reads both alike.
+_PROBLEM_RE = re.compile(r"problem-([0-9]+)\.txt")
+_TRUTH_RE = re.compile(r"truth-problem-([0-9]+)\.json")
 
 SPLITS = ("train", "validation", "test")
 
@@ -121,16 +122,24 @@ def list_split(directory: str | Path) -> Listing:
     for entry in sorted(directory.iterdir(), key=lambda path: path.name):
         if not entry.is_file():
             continue
-        m = _PROBLEM_RE.match(entry.name)
-        if m:
-            problems[int(m.group(1))] = entry
-            continue
-        m = _TRUTH_RE.match(entry.name)
-        if m:
-            truths[int(m.group(1))] = entry
-            continue
-        logger.warning("ignoring stray file %s", entry)
+        if add_by_doc_id(problems, _PROBLEM_RE, entry) is None and add_by_doc_id(truths, _TRUTH_RE, entry) is None:
+            logger.warning("ignoring stray file %s", entry)
     return problems, truths
+
+
+def add_by_doc_id(files: dict[int, Path], pattern: re.Pattern[str], entry: Path) -> int | None:
+    """Add `entry` to `files` under the doc id `pattern` reads from its whole name; None if the name does not match.
+
+    A second entry for one id, as `problem-03.txt` is for `problem-3.txt`, is a FormatError.
+    """
+    m = pattern.fullmatch(entry.name)
+    if m is None:
+        return None
+    doc_id = int(m.group(1))
+    if doc_id in files:
+        raise FormatError(f"{files[doc_id]} and {entry} both name document {doc_id}")
+    files[doc_id] = entry
+    return doc_id
 
 
 def is_int(value: object) -> bool:

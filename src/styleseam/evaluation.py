@@ -16,11 +16,11 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .corpus import is_changes, read_json
+from .corpus import add_by_doc_id, is_changes, read_json
 from .errors import CoverageError, FormatError, UsageError
 from .model import PredictionRecord
 
-_SOLUTION_RE = re.compile(r"^solution-problem-(\d+)\.json$")
+_SOLUTION_RE = re.compile(r"solution-problem-([0-9]+)\.json")  # ASCII digits, as corpus reads problem ids
 
 
 @dataclass(frozen=True)
@@ -167,12 +167,12 @@ def read_solutions(directory: str | Path) -> dict[int, list[int]]:
     directory = Path(directory)
     if not directory.is_dir():
         raise FileNotFoundError(f"solution directory not found: {directory}")
+    files: dict[int, Path] = {}
     solutions: dict[int, list[int]] = {}
     for entry in sorted(directory.iterdir()):
-        m = _SOLUTION_RE.match(entry.name)
-        if not m:
+        doc_id = add_by_doc_id(files, _SOLUTION_RE, entry)
+        if doc_id is None:
             continue
-        doc_id = int(m.group(1))
         raw = read_json(entry, "solution file")
         changes = raw.get("changes") if isinstance(raw, dict) else None
         if not is_changes(changes):

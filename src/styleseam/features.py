@@ -42,15 +42,6 @@ VOCABULARY_FORMAT_VERSION = 1
 HANDCRAFTED_WIDTH = 5
 
 
-@dataclass(frozen=True, eq=False)
-class SparseFeatureVector:
-    """Strictly-increasing (index, weight) entries below `dimension`."""
-
-    indices: np.ndarray
-    values: np.ndarray
-    dimension: int
-
-
 @dataclass(frozen=True)
 class Vocabulary:
     """Term-to-column mapping with document frequencies.
@@ -68,14 +59,14 @@ class Vocabulary:
     def size(self) -> int:
         return len(self.index)
 
-    def idf(self, term: str) -> float:
-        # Smoothed variant: stays finite and positive even when df == N.
-        return math.log((1 + self.document_count) / (1 + self.doc_freq[term])) + 1.0
-
     @cached_property
     def idf_array(self) -> np.ndarray:
-        """`idf` of every term, by column (math.log, not np.log, so the bits match)."""
-        return np.array([self.idf(term) for term in sorted(self.index, key=self.index.__getitem__)])
+        """Smoothed idf of every term, by column: finite and positive even when df == N.
+
+        math.log, not np.log, so the bits are those of the scalar formula.
+        """
+        terms = sorted(self.index, key=self.index.__getitem__)
+        return np.array([math.log((1 + self.document_count) / (1 + self.doc_freq[term])) + 1.0 for term in terms])
 
 
 def word_tokens(text: str) -> list[str]:
@@ -123,11 +114,11 @@ def fit_vocabulary(
 
 
 @dataclass(eq=False)
-class PairFeatures(Sequence[SparseFeatureVector]):
+class PairFeatures:
     """Pair vectors over CSR rows of side blocks, each block stored once.
 
     Pair i is row `left[i]` followed by row `right[i]` shifted by one block,
-    total width 2 * (V + 5); indexing gathers it into a SparseFeatureVector.
+    total width 2 * (V + 5); `pair(i)` gathers it into one vector.
     """
 
     indptr: list[int]
@@ -143,13 +134,13 @@ class PairFeatures(Sequence[SparseFeatureVector]):
     def __len__(self) -> int:
         return len(self.left)
 
-    def __getitem__(self, i: int) -> SparseFeatureVector:  # type: ignore[override]
+    def pair(self, i: int) -> tuple[np.ndarray, np.ndarray]:
+        """The strictly increasing indices and the values of pair i."""
         ptr, left, right = self.indptr, self.left[i], self.right[i]
         a, b, c, d = ptr[left], ptr[left + 1], ptr[right], ptr[right + 1]
-        return SparseFeatureVector(
-            indices=np.concatenate((self.indices[a:b], self.shifted[c:d])),
-            values=np.concatenate((self.values[a:b], self.values[c:d])),
-            dimension=self.dimension,
+        return (
+            np.concatenate((self.indices[a:b], self.shifted[c:d])),
+            np.concatenate((self.values[a:b], self.values[c:d])),
         )
 
 
@@ -264,14 +255,14 @@ class ParagraphTable:
         return indptr, indices, values
 
 
-def pair_features(pair: ParagraphPair, vocab: Vocabulary) -> SparseFeatureVector:
-    """Concatenate the left and right side blocks of one pair.
+def pair_features(pair: ParagraphPair, vocab: Vocabulary) -> PairFeatures:
+    """The one-pair `PairFeatures` of `pair`, without truncation.
 
     Layout: [tfidf(left) | handcrafted(left) | tfidf(right) | handcrafted(right)],
     total width 2 * (V + 5). Handcrafted counts are scaled by
     1 / (1 + word_count) of their own side.
     """
-    return ParagraphTable([pair]).featurize(vocab)[0]
+    return ParagraphTable([pair]).featurize(vocab)
 
 
 def featurize(pairs: Iterable[ParagraphPair], vocab: Vocabulary, truncation: TruncationConfig) -> PairFeatures:

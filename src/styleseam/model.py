@@ -23,7 +23,7 @@ from .errors import DataError, FormatError, UsageError
 if TYPE_CHECKING:  # only the linear-SVM functions load numpy, so exchange-format commands start without it
     import numpy as np
 
-    from .features import SparseFeatureVector
+    from .features import PairFeatures
 
 MODEL_FORMAT_VERSION = 1
 
@@ -117,33 +117,26 @@ def warmup_schedule(step: int, total_steps: int, cfg: TrainConfig) -> float:
     return cfg.peak_lr * (total_steps - step) / (total_steps - warmup_steps)
 
 
-def _check_features(features: Sequence[SparseFeatureVector]) -> int:
-    import numpy as np
-    from .features import PairFeatures
-    if isinstance(features, PairFeatures):
-        return features.dimension  # its rows are finite by construction: positive idf times counts, normalized
-    dimension = features[0].dimension
-    for i, vec in enumerate(features):
-        if vec.dimension != dimension:
-            raise UsageError(f"feature {i} has dimension {vec.dimension}, expected {dimension}")
-        if not np.all(np.isfinite(vec.values)):
-            raise DataError(f"feature {i} contains non-finite values")
-    return dimension
+def _margins(model: LinearModel, features: PairFeatures) -> list[float]:
+    """w . x + b of every pair, in pair order: one contiguous gather and one dot per pair."""
+    w, b = model.weights, model.bias
+    return [float(w[indices] @ values) + b for indices, values in map(features.pair, range(len(features)))]
 
 
-def hinge_objective(model: LinearModel, features: Sequence[SparseFeatureVector], labels: Sequence[int]) -> float:
+def hinge_objective(model: LinearModel, features: PairFeatures, labels: Sequence[int]) -> float:
     """Full-batch regularized objective: 0.5*l2*||w||^2 + mean hinge loss."""
+    import numpy as np
     total = 0.0
-    for vec, label in zip(features, labels):
-        margin = float(model.weights[vec.indices] @ vec.values) + model.bias
-        y = 1.0 if label == 1 else -1.0
-        total += max(0.0, 1.0 - y * margin)
-    penalty = 0.5 * model.l2 * float(model.weights @ model.weights)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing model gives inf or NaN, not warnings
+        for margin, label in zip(_margins(model, features), labels):
+            y = 1.0 if label == 1 else -1.0
+            total += max(0.0, 1.0 - y * margin)
+        penalty = 0.5 * model.l2 * float(model.weights @ model.weights)
     return penalty + total / len(labels)
 
 
 def train_linear_svm(
-    features: Sequence[SparseFeatureVector],
+    features: PairFeatures,
     labels: Sequence[int],
     cfg: TrainConfig,
     on_epoch_end: Callable[[int, LinearModel], None] | None = None,
@@ -163,10 +156,11 @@ def train_linear_svm(
     classes = set(labels)
     if classes != {0, 1}:
         raise UsageError(f"training needs both classes, got labels {sorted(classes)}")
-    dimension = _check_features(features)
+    if not np.all(np.isfinite(features.values)):
+        raise DataError("feature values are not all finite")
 
     y = np.where(np.asarray(labels) == 1, 1.0, -1.0)
-    w = np.zeros(dimension)
+    w = np.zeros(features.dimension)
     b = 0.0
     n = len(features)
     steps_per_epoch = (n + cfg.batch_size - 1) // cfg.batch_size
@@ -185,10 +179,10 @@ def train_linear_svm(
                 w *= 1.0 - lr * cfg.l2
                 scale = lr / len(batch)
                 for i in batch:
-                    vec = features[i]
-                    margin = y[i] * (float(w[vec.indices] @ vec.values) + b)
+                    indices, values = features.pair(i)
+                    margin = y[i] * (float(w[indices] @ values) + b)
                     if margin < 1.0:
-                        w[vec.indices] += scale * y[i] * vec.values
+                        w[indices] += scale * y[i] * values
                         b += scale * y[i]
                 step += 1
             if not (math.isfinite(b) and np.all(np.isfinite(w))):
@@ -199,23 +193,20 @@ def train_linear_svm(
 
 
 def predict(
-    model: LinearModel,
-    features: SparseFeatureVector,
-    *,
-    doc_id: int = 0,
-    pair_index: int = 0,
-    source: str = "tfidf-svc",
-) -> PredictionRecord:
-    """Score one feature vector; label 1 iff sigmoid(margin) >= 0.5."""
+    model: LinearModel, features: PairFeatures, pairs: Sequence[ParagraphPair], source: str = "tfidf-svc"
+) -> list[PredictionRecord]:
+    """Score every pair of `features`, which are the vectors of `pairs`; label 1 iff sigmoid(margin) >= 0.5."""
+    import numpy as np
     if features.dimension != model.dimension:
-        raise UsageError(
-            f"feature dimension {features.dimension} does not match model {model.dimension}"
-        )
-    margin = float(model.weights[features.indices] @ features.values) + model.bias
-    if math.isnan(margin):
+        raise UsageError(f"feature dimension {features.dimension} does not match model {model.dimension}")
+    if len(features) != len(pairs):
+        raise UsageError(f"{len(features)} feature vectors vs {len(pairs)} pairs")
+    with np.errstate(over="ignore", invalid="ignore"):  # a NaN margin is reported below, not warned about
+        margins = _margins(model, features)
+    if any(map(math.isnan, margins)):
         raise DataError("prediction margin is NaN: the model weights overflow or are not finite")
-    score = _sigmoid(margin)
-    return PredictionRecord(doc_id, pair_index, score, _label(score), source)
+    scores = map(_sigmoid, margins)
+    return [PredictionRecord(p.doc_id, p.pair_index, score, _label(score), source) for p, score in zip(pairs, scores)]
 
 
 def random_baseline(pairs: Sequence[ParagraphPair], seed: int) -> list[PredictionRecord]:

@@ -1,8 +1,9 @@
-"""Scalar reference featurization: one dict-and-loop pass per call, no reuse.
+"""Scalar reference featurization and linear model: one vector per pair, no reuse.
 
 The library scans each distinct paragraph once, during vocabulary fitting
 when it trains, and stores each side block once as a CSR row that pairs
-share. These functions are the plain per-term, per-pair implementation it
+share; its model reads pairs from those rows. These functions are the plain
+per-term, per-pair featurization and the per-vector SGD and margin loop it
 replaced; the differential tests require bit-identical output from both.
 """
 
@@ -10,14 +11,29 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from styleseam import tokenization
 from styleseam.corpus import ParagraphPair
-from styleseam.features import HANDCRAFTED_WIDTH, SparseFeatureVector, Vocabulary, word_tokens
+from styleseam.features import HANDCRAFTED_WIDTH, PairFeatures, Vocabulary, word_tokens
+from styleseam.model import LinearModel, TrainConfig, warmup_schedule
 from styleseam.tokenization import TruncationConfig
+
+
+@dataclass(frozen=True, eq=False)
+class Vector:
+    """Strictly increasing (index, weight) entries below `dimension`."""
+
+    indices: np.ndarray
+    values: np.ndarray
+    dimension: int
+
+
+def vectors(features: PairFeatures) -> list[Vector]:
+    """Every pair of `features` as a Vector, gathered by `PairFeatures.pair`."""
+    return [Vector(*features.pair(i), features.dimension) for i in range(len(features))]
 
 
 @dataclass(frozen=True)
@@ -34,13 +50,13 @@ class HandcraftedCounts:
         return (self.question_marks, self.periods, self.apostrophes, self.parentheses, self.word_count)
 
 
-def densify(vec: SparseFeatureVector) -> np.ndarray:
+def densify(vec: Vector) -> np.ndarray:
     out = np.zeros(vec.dimension)
     out[vec.indices] = vec.values
     return out
 
 
-def tfidf_vector(text: str, vocab: Vocabulary) -> SparseFeatureVector:
+def tfidf_vector(text: str, vocab: Vocabulary) -> Vector:
     counts: dict[int, int] = {}
     terms: dict[int, str] = {}
     for term in word_tokens(text):
@@ -49,15 +65,17 @@ def tfidf_vector(text: str, vocab: Vocabulary) -> SparseFeatureVector:
             counts[col] = counts.get(col, 0) + 1
             terms[col] = term
     if not counts:
-        return SparseFeatureVector(
+        return Vector(
             indices=np.empty(0, dtype=np.int64),
             values=np.empty(0, dtype=np.float64),
             dimension=vocab.size,
         )
     cols = np.array(sorted(counts), dtype=np.int64)
-    weights = np.array([counts[c] * vocab.idf(terms[c]) for c in cols], dtype=np.float64)
+    # Smoothed idf: finite and positive even when df == N.
+    idf = {c: math.log((1 + vocab.document_count) / (1 + vocab.doc_freq[terms[c]])) + 1.0 for c in cols}
+    weights = np.array([counts[c] * idf[c] for c in cols], dtype=np.float64)
     weights /= math.sqrt(float(np.dot(weights, weights)))
-    return SparseFeatureVector(indices=cols, values=weights, dimension=vocab.size)
+    return Vector(indices=cols, values=weights, dimension=vocab.size)
 
 
 def handcrafted(text: str) -> HandcraftedCounts:
@@ -83,11 +101,11 @@ def _side_block(text: str, vocab: Vocabulary, offset: int) -> tuple[list[int], l
     return indices, values
 
 
-def pair_features(pair: ParagraphPair, vocab: Vocabulary) -> SparseFeatureVector:
+def pair_features(pair: ParagraphPair, vocab: Vocabulary) -> Vector:
     block = vocab.size + HANDCRAFTED_WIDTH
     left_idx, left_val = _side_block(pair.left, vocab, 0)
     right_idx, right_val = _side_block(pair.right, vocab, block)
-    return SparseFeatureVector(
+    return Vector(
         indices=np.array(left_idx + right_idx, dtype=np.int64),
         values=np.array(left_val + right_val, dtype=np.float64),
         dimension=2 * block,
@@ -96,7 +114,7 @@ def pair_features(pair: ParagraphPair, vocab: Vocabulary) -> SparseFeatureVector
 
 def featurize(
     pairs: Iterable[ParagraphPair], vocab: Vocabulary, truncation: TruncationConfig
-) -> list[SparseFeatureVector]:
+) -> list[Vector]:
     vectors = []
     for pair in pairs:
         left = tokenization.tokenize(pair.left)
@@ -106,3 +124,51 @@ def featurize(
             pair = replace(pair, left=" ".join(left), right=" ".join(right))
         vectors.append(pair_features(pair, vocab))
     return vectors
+
+
+def train_linear_svm(features: Sequence[Vector], labels: Sequence[int], cfg: TrainConfig) -> LinearModel:
+    """Mini-batch subgradient descent, one gathered vector per visit, as the library's SGD."""
+    y = np.where(np.asarray(labels) == 1, 1.0, -1.0)
+    w = np.zeros(features[0].dimension)
+    b = 0.0
+    n = len(features)
+    total_steps = cfg.epochs * ((n + cfg.batch_size - 1) // cfg.batch_size)
+    rng = np.random.default_rng(cfg.seed)
+    step = 0
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
+            lr = warmup_schedule(step, total_steps, cfg)
+            w *= 1.0 - lr * cfg.l2
+            scale = lr / len(batch)
+            for i in batch:
+                vec = features[i]
+                margin = y[i] * (float(w[vec.indices] @ vec.values) + b)
+                if margin < 1.0:
+                    w[vec.indices] += scale * y[i] * vec.values
+                    b += scale * y[i]
+            step += 1
+    return LinearModel(weights=w, bias=b, l2=cfg.l2)
+
+
+def margin(model: LinearModel, vec: Vector) -> float:
+    return float(model.weights[vec.indices] @ vec.values) + model.bias
+
+
+def hinge_objective(model: LinearModel, features: Sequence[Vector], labels: Sequence[int]) -> float:
+    total = 0.0
+    for vec, label in zip(features, labels):
+        y = 1.0 if label == 1 else -1.0
+        total += max(0.0, 1.0 - y * margin(model, vec))
+    penalty = 0.5 * model.l2 * float(model.weights @ model.weights)
+    return penalty + total / len(labels)
+
+
+def score(model: LinearModel, vec: Vector) -> float:
+    """The sigmoid of the margin, spelled for either sign without overflow."""
+    m = margin(model, vec)
+    if m >= 0:
+        return 1.0 / (1.0 + math.exp(-m))
+    e = math.exp(m)
+    return e / (1.0 + e)

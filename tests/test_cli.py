@@ -248,6 +248,14 @@ class TestPredictAndEvaluate:
         code, _ = run_cli(capsys, "evaluate", tmp_path, truth_dir)
         assert code == 2
 
+    def test_two_solution_files_for_one_document_is_exit_2(self, capsys, caplog, pan_fixture, tmp_path):
+        truth_dir = pan_fixture / "easy" / "validation"
+        (tmp_path / "solution-problem-1.json").write_text('{"changes": [0]}')
+        (tmp_path / "solution-problem-01.json").write_text('{"changes": [1]}')
+        code, out = run_cli(capsys, "evaluate", tmp_path, truth_dir)
+        assert (code, out) == (2, "")
+        assert "both name document 1" in caplog.text
+
     def test_dimension_mismatch_is_exit_2(self, capsys, synth_corpus, trained, tmp_path):
         from styleseam.features import fit_vocabulary, save_vocabulary
 

@@ -67,6 +67,22 @@ class TestLoadDocuments:
         assert len(docs) == 1
         assert "readme.txt" in caplog.text
 
+    @pytest.mark.parametrize("name", ["problem-\u0663.txt", "problem-\uff13.txt", "problem-3.txt\n"])
+    def test_id_other_than_ascii_digits_is_stray(self, tmp_path, caplog, name):
+        """Arabic-Indic and fullwidth digits read as 3 to int(), but name no document."""
+        _write_doc(tmp_path, 3, ["A"])
+        (tmp_path / name).write_text("B\nC\n", encoding="utf-8")
+        with caplog.at_level(logging.WARNING, logger="styleseam.corpus"):
+            docs = load_documents(tmp_path, Difficulty.EASY)
+        assert docs == [Document(id=3, difficulty=Difficulty.EASY, paragraphs=("A",))]
+        assert f"ignoring stray file {tmp_path / name}" in caplog.text
+
+    def test_two_problem_files_for_one_id_rejected(self, tmp_path):
+        _write_doc(tmp_path, 3, ["A"])
+        _write_doc(tmp_path, "03", ["B"])
+        with pytest.raises(FormatError, match=r"problem-03\.txt and .*problem-3\.txt both name document 3"):
+            load_documents(tmp_path, Difficulty.EASY)
+
     def test_missing_directory(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_documents(tmp_path / "nope", Difficulty.EASY)
@@ -100,6 +116,12 @@ class TestLoadTruth:
     def test_non_binary_changes(self, tmp_path, changes):
         _write_truth(tmp_path, 3, {"authors": 2, "changes": changes})
         with pytest.raises(FormatError, match="non-binary"):
+            load_truth(tmp_path)
+
+    def test_two_truth_files_for_one_id_rejected(self, tmp_path):
+        _write_truth(tmp_path, 5, {"authors": 1, "changes": [0]})
+        _write_truth(tmp_path, "005", {"authors": 2, "changes": [1]})
+        with pytest.raises(FormatError, match=r"truth-problem-005\.json and .*truth-problem-5\.json both name document 5"):
             load_truth(tmp_path)
 
     def test_length_mismatch_against_sibling(self, tmp_path):

@@ -198,6 +198,17 @@ class TestReadSolutions:
         (tmp_path / "predictions.ndjson").write_text("")
         assert read_solutions(tmp_path) == {1: [1]}
 
+    def test_id_other_than_ascii_digits_skipped(self, tmp_path):
+        (tmp_path / "solution-problem-3.json").write_text('{"changes": [1]}')
+        (tmp_path / "solution-problem-\u0663.json").write_text('{"changes": [0, 0]}')
+        assert read_solutions(tmp_path) == {3: [1]}
+
+    def test_two_files_for_one_id_rejected(self, tmp_path):
+        (tmp_path / "solution-problem-3.json").write_text('{"changes": [1]}')
+        (tmp_path / "solution-problem-03.json").write_text('{"changes": [0]}')
+        with pytest.raises(FormatError, match=r"solution-problem-03\.json and .*solution-problem-3\.json both name document 3"):
+            read_solutions(tmp_path)
+
 
 def test_report_serialization_shapes():
     entry = macro_f1({1: [1, 1, 0, 0]}, {1: [1, 0, 0, 0]})

@@ -15,7 +15,6 @@ from styleseam.corpus import Difficulty, Document, ParagraphPair, build_pairs
 from styleseam.errors import FormatError, UsageError
 from styleseam.features import (
     HANDCRAFTED_WIDTH,
-    SparseFeatureVector,
     Vocabulary,
     featurize,
     fit_vocabulary,
@@ -27,7 +26,12 @@ from styleseam.features import (
 from styleseam.tokenization import TruncationConfig, TruncationStrategy
 
 # The scalar reference's side functions, which the differential tests hold the table path to.
-from scalar_features import densify, handcrafted, tfidf_vector
+from scalar_features import Vector, densify, handcrafted, tfidf_vector, vectors
+
+
+def _pair_vector(pair: ParagraphPair, vocab: Vocabulary) -> Vector:
+    [vec] = vectors(pair_features(pair, vocab))
+    return vec
 
 
 class TestFitVocabulary:
@@ -188,7 +192,7 @@ class TestPairFeatures:
 
     def test_identical_sides_mirror(self, vocab):
         text = "cat dog? (bird)."
-        vec = pair_features(self._pair(text, text), vocab)
+        vec = _pair_vector(self._pair(text, text), vocab)
         block = vocab.size + HANDCRAFTED_WIDTH
         dense = densify(vec)
         assert dense[:block].tolist() == dense[block:].tolist()
@@ -201,7 +205,7 @@ class TestPairFeatures:
 
     def test_concatenation_equals_per_side_blocks(self, vocab):
         left, right = "cat cat dog!", "bird (dog) here?"
-        vec = pair_features(self._pair(left, right), vocab)
+        vec = _pair_vector(self._pair(left, right), vocab)
         block = vocab.size + HANDCRAFTED_WIDTH
         dense = densify(vec)
 
@@ -216,15 +220,15 @@ class TestPairFeatures:
             assert dense[offset : offset + block].tolist() == side.tolist()
 
     def test_swap_is_block_swap(self, vocab):
-        vec = pair_features(self._pair("cat dog", "bird."), vocab)
-        swapped = pair_features(self._pair("bird.", "cat dog"), vocab)
+        vec = _pair_vector(self._pair("cat dog", "bird."), vocab)
+        swapped = _pair_vector(self._pair("bird.", "cat dog"), vocab)
         block = vocab.size + HANDCRAFTED_WIDTH
         dense, dense_swapped = densify(vec), densify(swapped)
         assert dense[:block].tolist() == dense_swapped[block:].tolist()
         assert dense[block:].tolist() == dense_swapped[:block].tolist()
 
     def test_indices_strictly_increasing(self, vocab):
-        vec = pair_features(self._pair("cat dog bird?", "dog."), vocab)
+        vec = _pair_vector(self._pair("cat dog bird?", "dog."), vocab)
         assert all(a < b for a, b in zip(vec.indices, vec.indices[1:]))
         assert vec.indices.size == 0 or vec.indices[-1] < vec.dimension
 
@@ -243,7 +247,7 @@ class TestFeaturize:
         return fit_vocabulary([self.PAIR.left, self.PAIR.right], set())
 
     @staticmethod
-    def _same(a: SparseFeatureVector, b: SparseFeatureVector) -> bool:
+    def _same(a: Vector, b: Vector) -> bool:
         return (
             a.dimension == b.dimension
             and a.indices.tobytes() == b.indices.tobytes()
@@ -253,8 +257,8 @@ class TestFeaturize:
     @pytest.mark.parametrize("strategy", list(TruncationStrategy))
     def test_within_budget_is_pair_features_of_original_text(self, vocab, strategy):
         budget = len(tokenization.tokenize(self.PAIR.left)) + len(tokenization.tokenize(self.PAIR.right))
-        [vec] = featurize([self.PAIR], vocab, TruncationConfig(budget=budget, strategy=strategy))
-        assert self._same(vec, pair_features(self.PAIR, vocab))
+        [vec] = vectors(featurize([self.PAIR], vocab, TruncationConfig(budget=budget, strategy=strategy)))
+        assert self._same(vec, _pair_vector(self.PAIR, vocab))
         # the apostrophe and parenthesis slots of both sides are set
         dense, block = densify(vec), vocab.size + HANDCRAFTED_WIDTH
         for offset in (0, block):
@@ -267,16 +271,16 @@ class TestFeaturize:
             tokenization.tokenize(self.PAIR.left), tokenization.tokenize(self.PAIR.right), cfg
         )
         kept = ParagraphPair(doc_id=3, pair_index=1, left=" ".join(left), right=" ".join(right))
-        [vec] = featurize([self.PAIR], vocab, cfg)
-        assert self._same(vec, pair_features(kept, vocab))
-        assert not self._same(vec, pair_features(self.PAIR, vocab))
+        [vec] = vectors(featurize([self.PAIR], vocab, cfg))
+        assert self._same(vec, _pair_vector(kept, vocab))
+        assert not self._same(vec, _pair_vector(self.PAIR, vocab))
 
     def test_order_and_length_follow_pairs(self, vocab):
         swapped = ParagraphPair(doc_id=3, pair_index=2, left=self.PAIR.right, right=self.PAIR.left)
-        vectors = featurize([self.PAIR, swapped, self.PAIR], vocab, TruncationConfig())
-        assert len(vectors) == 3
-        assert self._same(vectors[1], pair_features(swapped, vocab))
-        assert self._same(vectors[0], vectors[2])
+        vecs = vectors(featurize([self.PAIR, swapped, self.PAIR], vocab, TruncationConfig()))
+        assert len(vecs) == 3
+        assert self._same(vecs[1], _pair_vector(swapped, vocab))
+        assert self._same(vecs[0], vecs[2])
         assert len(featurize([], vocab, TruncationConfig())) == 0
 
     # Two documents: A recurs non-consecutively and in both, and every pair with LONG is over budget 12.
@@ -338,12 +342,12 @@ class TestFeaturize:
         calls = self._record_calls(monkeypatch)
         table = features.ParagraphTable(pairs, cfg)
         vocab = fit_vocabulary(paragraphs, {"the"}, table)
-        vectors = table.featurize(vocab)
+        pair_vectors = table.featurize(vocab)
         # LONG is cut the same way more than once; each distinct kept text is scanned once.
         assert len(set(kept)) < len(kept)
         assert sorted(calls["word_tokens"]) == sorted([self.A, self.B, self.C, self.LONG, *set(kept)])
         self._check_tokenized(calls["tokenize"], cut, cfg)
-        assert len(vectors) == len(pairs)
+        assert len(pair_vectors) == len(pairs)
         assert vocab == fit_vocabulary(paragraphs, {"the"})
 
     def test_prediction_scans_uncut_sides_once(self, monkeypatch):

@@ -1,26 +1,29 @@
-"""The library's featurization against the scalar reference in scalar_features.py.
+"""The library's featurization and model against the scalar reference in scalar_features.py.
 
 Every comparison is exact: same indices, same dtypes, same value bytes. The
 training path fits the vocabulary through a ParagraphTable and featurizes
 from the scans fitting made; the prediction path featurizes on its own.
+The model trains and scores from the table's rows, and must give the bits
+the reference's per-vector SGD and margin loop give.
 """
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import scalar_features as ref
 from styleseam.corpus import Difficulty, Document, ParagraphPair, build_pairs
 from styleseam.features import (
     HANDCRAFTED_WIDTH,
+    PairFeatures,
     ParagraphTable,
-    SparseFeatureVector,
     featurize,
     fit_vocabulary,
     pair_features,
 )
+from styleseam.model import TrainConfig, hinge_objective, predict, train_linear_svm
 from styleseam.tokenization import TruncationConfig, TruncationStrategy, tokenize
 
 STOPWORDS = frozenset({"the", "and", "of", "it"})
@@ -48,12 +51,19 @@ def _vocabulary():
     return fit_vocabulary(CORPUS, STOPWORDS)
 
 
-def _assert_same(actual: SparseFeatureVector, expected: SparseFeatureVector) -> None:
+def _assert_same_vector(actual: ref.Vector, expected: ref.Vector) -> None:
     assert actual.dimension == expected.dimension
     assert actual.indices.dtype == expected.indices.dtype
     assert actual.values.dtype == expected.values.dtype
     assert actual.indices.tobytes() == expected.indices.tobytes()
     assert actual.values.tobytes() == expected.values.tobytes()
+
+
+def _assert_same(actual: PairFeatures, expected: list[ref.Vector]) -> None:
+    """Each pair `actual` gathers is the reference vector of that pair."""
+    assert len(actual) == len(expected)
+    for a, e in zip(ref.vectors(actual), expected):
+        _assert_same_vector(a, e)
 
 
 @settings(max_examples=200, deadline=None)
@@ -65,10 +75,10 @@ def _assert_same(actual: SparseFeatureVector, expected: SparseFeatureVector) -> 
 def test_side_functions_match_reference(text):
     """A side block is the reference tf-idf vector, then the slots of the nonzero reference counts."""
     vocab = _vocabulary()
-    vec = pair_features(ParagraphPair(doc_id=0, pair_index=0, left=text, right=""), vocab)
+    [vec] = ref.vectors(pair_features(ParagraphPair(doc_id=0, pair_index=0, left=text, right=""), vocab))
     tfidf = vec.indices < vocab.size
-    _assert_same(
-        SparseFeatureVector(indices=vec.indices[tfidf], values=vec.values[tfidf], dimension=vocab.size),
+    _assert_same_vector(
+        ref.Vector(indices=vec.indices[tfidf], values=vec.values[tfidf], dimension=vocab.size),
         ref.tfidf_vector(text, vocab),
     )
     slots = vec.indices[~tfidf & (vec.indices < vocab.size + HANDCRAFTED_WIDTH)] - vocab.size
@@ -82,7 +92,7 @@ def test_side_functions_match_reference(text):
 def test_pair_features_matches_reference(left, right):
     vocab = _vocabulary()
     pair = ParagraphPair(doc_id=0, pair_index=0, left=left, right=right)
-    _assert_same(pair_features(pair, vocab), ref.pair_features(pair, vocab))
+    _assert_same(pair_features(pair, vocab), [ref.pair_features(pair, vocab)])
 
 
 @settings(max_examples=100, deadline=None)
@@ -102,10 +112,8 @@ def test_featurize_matches_reference(layouts, pool, strategy, budget):
     vocab = _vocabulary()
     truncation = TruncationConfig(budget=budget, strategy=strategy)
     actual = featurize(pairs, vocab, truncation)
-    expected = ref.featurize(pairs, vocab, truncation)
-    assert len(actual) == len(expected) == len(pairs)
-    for a, e in zip(actual, expected):
-        _assert_same(a, e)
+    assert len(actual) == len(pairs)
+    _assert_same(actual, ref.featurize(pairs, vocab, truncation))
 
 
 @pytest.mark.parametrize("strategy", list(TruncationStrategy))
@@ -117,8 +125,7 @@ def test_featurize_with_cut_and_uncut_pairs_matches_reference(strategy):
     pairs = build_pairs([doc])
     vocab = _vocabulary()
     truncation = TruncationConfig(budget=12, strategy=strategy)
-    for a, e in zip(featurize(pairs, vocab, truncation), ref.featurize(pairs, vocab, truncation)):
-        _assert_same(a, e)
+    _assert_same(featurize(pairs, vocab, truncation), ref.featurize(pairs, vocab, truncation))
 
 
 def test_same_text_under_two_vocabularies():
@@ -132,9 +139,9 @@ def test_same_text_under_two_vocabularies():
         ParagraphPair(doc_id=0, pair_index=1, left=text, right="bird's"),
     ]
     for vocab in (first, second, first):
-        _assert_same(pair_features(pairs[0], vocab), ref.pair_features(pairs[0], vocab))
+        _assert_same(pair_features(pairs[0], vocab), [ref.pair_features(pairs[0], vocab)])
         for other in (second, first):
-            _assert_same(pair_features(pairs[1], other), ref.pair_features(pairs[1], other))
+            _assert_same(pair_features(pairs[1], other), [ref.pair_features(pairs[1], other)])
 
 
 def test_repeated_non_consecutive_paragraphs():
@@ -143,8 +150,7 @@ def test_repeated_non_consecutive_paragraphs():
     pairs = build_pairs([doc])
     vocab = _vocabulary()
     truncation = TruncationConfig()
-    for a_vec, e_vec in zip(featurize(pairs, vocab, truncation), ref.featurize(pairs, vocab, truncation)):
-        _assert_same(a_vec, e_vec)
+    _assert_same(featurize(pairs, vocab, truncation), ref.featurize(pairs, vocab, truncation))
 
 
 def _training_path(docs, stopwords, truncation):
@@ -158,10 +164,8 @@ def _training_path(docs, stopwords, truncation):
 def _assert_training_path_matches_reference(docs, truncation):
     pairs, vocab, actual = _training_path(docs, STOPWORDS, truncation)
     assert vocab == fit_vocabulary([p for doc in docs for p in doc.paragraphs], STOPWORDS)
-    expected = ref.featurize(pairs, vocab, truncation)
-    assert len(actual) == len(expected) == len(pairs)
-    for a, e in zip(actual, expected):
-        _assert_same(a, e)
+    assert len(actual) == len(pairs)
+    _assert_same(actual, ref.featurize(pairs, vocab, truncation))
 
 
 @settings(max_examples=100, deadline=None)
@@ -180,19 +184,70 @@ def test_training_path_matches_reference(layouts, pool, strategy, budget):
     _assert_training_path_matches_reference(docs, TruncationConfig(budget=budget, strategy=strategy))
 
 
-@pytest.mark.parametrize("strategy", list(TruncationStrategy))
-def test_training_path_with_cut_uncut_and_repeated_paragraphs(strategy):
+def _mixed_documents():
     long = "cat dog bird's naïve café (straße) " * 4
     a, b, c = "cat dog (cat).", "über ωμέγα?", "it's the bird's"
-    docs = [
-        # Uncut and cut pairs interleave; a and long recur non-consecutively.
+    return [
+        # Uncut and cut pairs interleave at budget 12; a and long recur non-consecutively.
         Document(id=1, difficulty=Difficulty.EASY, paragraphs=(a, b, long, a, c, long, b, a)),
         # The same paragraphs again: duplicates in the fitting corpus.
         Document(id=2, difficulty=Difficulty.EASY, paragraphs=(c, a, b)),
         Document(id=3, difficulty=Difficulty.EASY, paragraphs=(long,)),
     ]
+
+
+@pytest.mark.parametrize("strategy", list(TruncationStrategy))
+def test_training_path_with_cut_uncut_and_repeated_paragraphs(strategy):
+    docs = _mixed_documents()
     truncation = TruncationConfig(budget=12, strategy=strategy)
     _assert_training_path_matches_reference(docs, truncation)
     pairs = build_pairs(docs)
     assert any(len(tokenize(p.left)) + len(tokenize(p.right)) > 12 for p in pairs)
     assert any(len(tokenize(p.left)) + len(tokenize(p.right)) <= 12 for p in pairs)
+
+
+def _assert_model_matches_reference(docs, truncation, labels, cfg):
+    """Weights, bias, objective and scores from the table's rows carry the reference's bits."""
+    pairs, vocab, table_features = _training_path(docs, STOPWORDS, truncation)
+    vectors = ref.featurize(pairs, vocab, truncation)
+    model = train_linear_svm(table_features, labels, cfg)
+    expected = ref.train_linear_svm(vectors, labels, cfg)
+    assert model.weights.tobytes() == expected.weights.tobytes()
+    assert model.bias.hex() == expected.bias.hex()
+    assert hinge_objective(model, table_features, labels).hex() == ref.hinge_objective(expected, vectors, labels).hex()
+    scores = [ref.score(expected, vec).hex() for vec in vectors]
+    for features in (table_features, featurize(pairs, vocab, truncation)):
+        records = predict(model, features, pairs)
+        assert [(r.doc_id, r.pair_index) for r in records] == [(p.doc_id, p.pair_index) for p in pairs]
+        assert [r.score.hex() for r in records] == scores
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=6), min_size=1, max_size=4),
+    st.lists(texts, min_size=6, max_size=6),
+    st.sampled_from(list(TruncationStrategy)),
+    st.integers(2, 24),
+    st.integers(1, 3),
+    st.integers(0, 2**32 - 1),
+    st.data(),
+)
+def test_model_on_table_matches_per_vector_reference(layouts, pool, strategy, budget, batch_size, seed, data):
+    """Paragraphs recur within and across documents, and some pairs are cut."""
+    docs = [
+        Document(id=i, difficulty=Difficulty.EASY, paragraphs=tuple(pool[k] for k in layout))
+        for i, layout in enumerate(layouts)
+    ]
+    n = len(build_pairs(docs))
+    labels = data.draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n))
+    assume(set(labels) == {0, 1})
+    cfg = TrainConfig(peak_lr=0.5, epochs=3, batch_size=batch_size, seed=seed)
+    _assert_model_matches_reference(docs, TruncationConfig(budget=budget, strategy=strategy), labels, cfg)
+
+
+@pytest.mark.parametrize("strategy", list(TruncationStrategy))
+def test_model_with_cut_uncut_and_repeated_paragraphs(strategy):
+    docs = _mixed_documents()
+    labels = [1, 0, 1, 1, 0, 0, 1, 0, 1]
+    assert len(labels) == len(build_pairs(docs))
+    _assert_model_matches_reference(docs, TruncationConfig(budget=12, strategy=strategy), labels, TrainConfig(epochs=4))

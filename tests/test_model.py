@@ -3,13 +3,14 @@ from __future__ import annotations
 import json
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
 
 from styleseam.corpus import ParagraphPair
 from styleseam.errors import DataError, FormatError, StyleSeamError, UsageError
-from styleseam.features import SparseFeatureVector
+from styleseam.features import PairFeatures
 from styleseam.model import (
     EnsembleMode,
     LinearModel,
@@ -28,21 +29,37 @@ from styleseam.model import (
 )
 
 
-def _vec(values: dict[int, float], dimension: int) -> SparseFeatureVector:
-    indices = sorted(values)
-    return SparseFeatureVector(
-        indices=np.array(indices, dtype=np.int64),
-        values=np.array([values[i] for i in indices], dtype=np.float64),
-        dimension=dimension,
+def _features(rows: list[dict[int, float]], dimension: int) -> PairFeatures:
+    """Pair i holds the entries of rows[i], split into a left and a right side row.
+
+    A pair vector is two blocks of one width, so an odd `dimension` is widened by one.
+    """
+    half = (dimension + 1) // 2
+    indptr, indices, values = [0], [], []
+    for row in rows:
+        for side in (range(half), range(half, 2 * half)):
+            columns = sorted(column for column in row if column in side)
+            indices += [column - side.start for column in columns]
+            values += [row[column] for column in columns]
+            indptr.append(len(indices))
+    sides = list(range(2 * len(rows)))
+    return PairFeatures(
+        indptr, np.array(indices, dtype=np.int64), np.array(values, dtype=np.float64), sides[::2], sides[1::2], 2 * half
     )
 
 
-def _dense_vec(row: np.ndarray) -> SparseFeatureVector:
-    return SparseFeatureVector(
-        indices=np.arange(row.size, dtype=np.int64),
-        values=row.astype(np.float64),
-        dimension=row.size,
-    )
+def _dense(rows: np.ndarray) -> PairFeatures:
+    """Every entry of each row, zeros included."""
+    return _features([dict(enumerate(row.tolist())) for row in rows], rows.shape[1])
+
+
+def _pairs(n: int) -> list[ParagraphPair]:
+    return [ParagraphPair(doc_id=7, pair_index=i, left="", right="") for i in range(n)]
+
+
+def _score(model: LinearModel, row: dict[int, float]) -> float:
+    [record] = predict(model, _features([row], model.dimension), _pairs(1))
+    return record.score
 
 
 class TestWarmupSchedule:
@@ -103,22 +120,23 @@ class TestTrainConfig:
 
 def _separable_toy(n: int = 60, seed: int = 13):
     rng = random.Random(seed)
-    features, labels = [], []
+    rows, labels = [], []
     for _ in range(n):
         label = rng.randint(0, 1)
         x1 = rng.uniform(0.4, 1.4) * (1 if label else -1)
         x2 = rng.uniform(-1.0, 1.0)
-        features.append(_vec({0: x1, 1: x2}, 2))
+        rows.append({0: x1, 1: x2})
         labels.append(label)
-    return features, labels
+    return _features(rows, 2), labels
 
 
 class TestTrainLinearSvm:
     def test_separable_reaches_full_accuracy(self):
         features, labels = _separable_toy()
         model = train_linear_svm(features, labels, TrainConfig())
-        correct = sum(predict(model, f).label == y for f, y in zip(features, labels))
-        assert correct == len(labels)
+        records = predict(model, features, _pairs(len(labels)))
+        assert [r.label for r in records] == labels
+        assert [r.pair_index for r in records] == list(range(len(labels)))
 
     def test_bitwise_determinism(self):
         features, labels = _separable_toy()
@@ -134,7 +152,7 @@ class TestTrainLinearSvm:
             train_linear_svm(features, [1] * len(features), TrainConfig())
 
     def test_non_finite_feature_rejected(self):
-        features = [_vec({0: math.inf}, 2), _vec({0: -1.0}, 2)]
+        features = _features([{0: math.inf}, {0: -1.0}], 2)
         with pytest.raises(DataError):
             train_linear_svm(features, [1, 0], TrainConfig())
 
@@ -170,7 +188,7 @@ class TestTrainLinearSvm:
         labels = (rows @ w_true > 0).astype(int)
         flip = rng.random(n) < 0.15
         labels[flip] = 1 - labels[flip]
-        features = [_dense_vec(row) for row in rows]
+        features = _dense(rows)
 
         cfg = TrainConfig(peak_lr=0.1, epochs=40, batch_size=8, seed=7)
         model = train_linear_svm(features, labels, cfg)
@@ -200,37 +218,63 @@ class TestTrainLinearSvm:
 class TestPredict:
     def test_zero_model_scores_half_label_one(self):
         model = LinearModel(weights=np.zeros(2), bias=0.0, l2=1e-4)
-        record = predict(model, _vec({0: 1.0}, 2))
+        [record] = predict(model, _features([{0: 1.0}], 2), _pairs(1))
         assert record.score == 0.5
         assert record.label == 1  # threshold is inclusive
 
     def test_sigmoid_of_ln3(self):
-        model = LinearModel(weights=np.array([1.0]), bias=0.0, l2=1e-4)
-        record = predict(model, _vec({0: math.log(3)}, 1))
-        assert record.score == pytest.approx(0.75, abs=1e-15)
+        model = LinearModel(weights=np.array([1.0, 0.0]), bias=0.0, l2=1e-4)
+        assert _score(model, {0: math.log(3)}) == pytest.approx(0.75, abs=1e-15)
 
     def test_large_margin_saturates(self):
-        model = LinearModel(weights=np.array([100.0]), bias=0.0, l2=1e-4)
-        assert predict(model, _vec({0: 1.0}, 1)).score == pytest.approx(1.0, abs=1e-12)
+        model = LinearModel(weights=np.array([100.0, 0.0]), bias=0.0, l2=1e-4)
+        assert _score(model, {0: 1.0}) == pytest.approx(1.0, abs=1e-12)
 
     def test_dimension_mismatch(self):
         model = LinearModel(weights=np.zeros(3), bias=0.0, l2=1e-4)
         with pytest.raises(UsageError):
-            predict(model, _vec({0: 1.0}, 2))
+            predict(model, _features([{0: 1.0}], 2), _pairs(1))
 
     def test_nan_margin_rejected(self):
-        model = LinearModel(weights=np.array([np.nan]), bias=0.0, l2=1e-4)
+        model = LinearModel(weights=np.array([np.nan, 0.0]), bias=0.0, l2=1e-4)
         with pytest.raises(StyleSeamError, match="(?i)nan"):
-            predict(model, _vec({0: 1.0}, 1))
+            predict(model, _features([{0: 1.0}], 2), _pairs(1))
+
+    def test_records_follow_pairs(self):
+        model = LinearModel(weights=np.array([1.0, -1.0]), bias=0.0, l2=1e-4)
+        pairs = [ParagraphPair(doc_id=d, pair_index=i, left="", right="") for d, i in ((3, 0), (3, 1), (9, 0))]
+        features = _features([{0: 2.0}, {1: 2.0}, {}], 2)
+        records = predict(model, features, pairs)
+        assert [(r.doc_id, r.pair_index, r.label, r.source) for r in records] == [
+            (3, 0, 1, "tfidf-svc"),
+            (3, 1, 0, "tfidf-svc"),
+            (9, 0, 1, "tfidf-svc"),
+        ]
+        assert {r.source for r in predict(model, features, pairs, source="m")} == {"m"}
+
+    def test_pair_count_mismatch(self):
+        model = LinearModel(weights=np.zeros(2), bias=0.0, l2=1e-4)
+        with pytest.raises(UsageError, match="2 feature vectors vs 1 pairs"):
+            predict(model, _features([{0: 1.0}, {1: 1.0}], 2), _pairs(1))
+
+    def test_overflow_warns_nothing(self):
+        """Finite weights whose margin and norm overflow give an inf objective and score 1, without numpy warnings."""
+        model = LinearModel(weights=np.array([1e300, 1e300]), bias=0.0, l2=1e-4)
+        features = _features([{0: 1e10, 1: 1e10}], 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert hinge_objective(model, features, [0]) == math.inf
+            [record] = predict(model, features, _pairs(1))
+        assert record.score == 1.0
 
     def test_label_invariant_under_positive_rescaling(self):
         rng = np.random.default_rng(3)
         weights = rng.normal(size=6)
         model = LinearModel(weights=weights, bias=0.3, l2=1e-4)
         scaled = LinearModel(weights=3.7 * weights, bias=3.7 * 0.3, l2=1e-4)
-        for _ in range(50):
-            vec = _dense_vec(rng.normal(size=6))
-            assert predict(model, vec).label == predict(scaled, vec).label
+        features = _dense(rng.normal(size=(50, 6)))
+        labels = [r.label for r in predict(model, features, _pairs(50))]
+        assert labels == [r.label for r in predict(scaled, features, _pairs(50))]
 
 
 def test_prediction_record_is_a_plain_tuple():
