@@ -9,7 +9,6 @@ once a vocabulary is fitted.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import re
@@ -102,12 +101,7 @@ def fit_vocabulary(
     if not texts:
         raise UsageError("cannot fit a vocabulary on an empty corpus")
     stop = frozenset(w.lower() for w in stopwords)
-    scan = table.scan if table is not None else lambda text: set(word_tokens(text))
-    counted: Counter[str] = Counter()
-    for text, times in Counter(texts).items():
-        terms = scan(text)
-        for _ in range(times):
-            counted.update(terms)
+    counted = (table if table is not None else ParagraphTable([])).document_frequencies(texts)
     doc_freq = {term: df for term, df in counted.items() if term not in stop}
     index = {term: i for i, term in enumerate(sorted(doc_freq))}
     return Vocabulary(index=index, doc_freq=doc_freq, document_count=len(texts), stopwords=stop)
@@ -118,7 +112,7 @@ class PairFeatures:
     """Pair vectors over CSR rows of side blocks, each block stored once.
 
     Pair i is row `left[i]` followed by row `right[i]` shifted by one block,
-    total width 2 * (V + 5); `pair(i)` gathers it into one vector.
+    total width 2 * (V + 5); the model reads the two rows where they lie.
     """
 
     indptr: list[int]
@@ -128,20 +122,16 @@ class PairFeatures:
     right: list[int]
     dimension: int
 
-    def __post_init__(self) -> None:
-        self.shifted = self.indices + self.dimension // 2  # the indices of a row as a right side
-
     def __len__(self) -> int:
         return len(self.left)
 
-    def pair(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """The strictly increasing indices and the values of pair i."""
-        ptr, left, right = self.indptr, self.left[i], self.right[i]
-        a, b, c, d = ptr[left], ptr[left + 1], ptr[right], ptr[right + 1]
-        return (
-            np.concatenate((self.indices[a:b], self.shifted[c:d])),
-            np.concatenate((self.values[a:b], self.values[c:d])),
-        )
+
+class _TermIds(dict):
+    """Term -> id; a term not seen before takes the next id, so ids are dense."""
+
+    def __missing__(self, term: str) -> int:
+        self[term] = len(self)
+        return len(self) - 1
 
 
 class ParagraphTable:
@@ -152,8 +142,8 @@ class ParagraphTable:
     space-joined tokens truncation keeps, and each distinct kept text gets
     one row; only the kept end of each side is tokenized, its length known
     from the budget check's counts. Without a truncation config no pair is
-    cut. A scan is kept compactly: term ids, counts and
-    handcrafted counts.
+    cut. Scans queue their term ids, and every 65,536 ids are compacted into
+    each row's distinct (id, count) entries.
     """
 
     def __init__(self, pairs: Iterable[ParagraphPair], truncation: TruncationConfig | None = None) -> None:
@@ -166,31 +156,51 @@ class ParagraphTable:
             self._sizes = {text: sizes[text] for text in self._sides(cut=True)}
         self._uncut = set(self._sides(cut=False))
         self._rows: dict[str, int] = {}  # side text (a paragraph or a kept text) -> its row
-        self._terms: dict[str, int] = {}
-        self._fresh_ids = itertools.count()
+        self._terms = _TermIds()
         self._ids, self._counts, self._ends, self._surface = array("i"), array("i"), array("q", [0]), array("q")
+        self._tokens, self._scans, self._df = array("i"), [], np.zeros(0)  # queued: term ids, (end, times, row)
 
     def _sides(self, cut: bool | None = None) -> Iterator[str]:
         """Left and right paragraph of every pair, or of the pairs whose cut flag is `cut`."""
         return (text for p, c in zip(self.pairs, self.cut) if cut in (None, c) for text in (p.left, p.right))
 
-    def scan(self, text: str) -> Iterable[str]:
-        """Distinct word tokens of `text` from one scan, kept as its row if it is an uncut side."""
-        if text not in self._uncut:
-            return set(word_tokens(text))
-        self._rows[text] = len(self._ends) - 1
-        return self._add_row(text)
+    def document_frequencies(self, texts: Sequence[str]) -> dict[str, int]:
+        """Each term's number of `texts` holding it, each distinct text scanned once and, if an uncut side, kept."""
+        self._df = np.zeros(len(self._terms))
+        for text, times in Counter(texts).items():
+            self._scan(text, times, row=text in self._uncut and text not in self._rows)
+        self._compact()
+        return {term: int(df) for term, df in zip(self._terms, self._df.tolist()) if df}
 
-    def _add_row(self, text: str) -> Iterable[str]:
+    def _scan(self, text: str, times: int = 0, row: bool = True) -> None:
+        """Queue the term ids of `text`'s word tokens, standing for `times` texts in document frequencies."""
         tokens = word_tokens(text)
-        counts = Counter(tokens)
-        # A term's id is the first value offered to it, so ids are unique and below len(self._ids).
-        self._ids.fromlist(list(map(self._terms.setdefault, counts, self._fresh_ids)))
-        self._counts.fromlist(list(counts.values()))
-        self._ends.append(len(self._ids))
-        hits = text.count  # the handcrafted slots: ?, ., ', () combined, word count
-        self._surface.extend((hits("?"), hits("."), hits("'"), hits("(") + hits(")"), len(tokens)))
-        return counts.keys()
+        self._tokens.fromlist(list(map(self._terms.__getitem__, tokens)))
+        self._scans.append((len(self._tokens), times, row))
+        if row:
+            self._rows[text] = len(self._rows)
+            hits = text.count  # the handcrafted slots: ?, ., ', () combined, word count
+            self._surface.extend((hits("?"), hits("."), hits("'"), hits("(") + hits(")"), len(tokens)))
+        if len(self._tokens) >= 1 << 16:  # so a compaction's arrays stay a few MiB, however long the texts
+            self._compact()
+
+    def _compact(self) -> None:
+        """Sort the queued scans' (scan, id) codes: rows keep the distinct (id, count) entries, all add df."""
+        if not self._scans:
+            return
+        ends, times, rows = map(np.array, zip(*self._scans))
+        terms = len(self._terms)
+        scans = np.repeat(np.arange(ends.size), np.diff(ends, prepend=0))
+        codes = np.sort(scans * terms + np.frombuffer(self._tokens, dtype=np.int32))
+        first = np.flatnonzero(np.diff(codes, prepend=-1))
+        scans, ids = np.divmod(codes[first], terms)
+        self._df = np.bincount(ids, times[scans], terms) + np.pad(self._df, (0, terms - self._df.size))
+        kept = rows[scans]
+        self._ids.frombytes(ids[kept].astype(np.int32).tobytes())
+        self._counts.frombytes(np.diff(first, append=codes.size)[kept].astype(np.int32).tobytes())
+        sizes = np.bincount(scans[kept], minlength=ends.size)[rows]  # the entries of each row
+        self._ends.frombytes((self._ends[-1] + np.cumsum(sizes)).tobytes())
+        self._tokens, self._scans = array("i"), []
 
     def featurize(self, vocab: Vocabulary) -> PairFeatures:
         """Every pair's vector under `vocab`, scanning the sides that fitting did not."""
@@ -212,8 +222,7 @@ class ParagraphTable:
         consecutive longest_first cuts of one paragraph, shares one row.
         """
         if text not in self._rows:
-            self._rows[text] = len(self._ends) - 1
-            self._add_row(text)
+            self._scan(text)
         return self._rows[text]
 
     def _blocks(self, vocab: Vocabulary) -> tuple[list[int], np.ndarray, np.ndarray]:
@@ -223,9 +232,8 @@ class ParagraphTable:
         ignored), then the nonzero handcrafted counts at V + slot, scaled by
         1 / (1 + word_count). Chunks of rows keep temporaries small.
         """
-        lookup = np.full(len(self._ids), -1, dtype=np.int32)
-        columns = [vocab.index.get(term, -1) for term in self._terms]
-        lookup[np.fromiter(self._terms.values(), dtype=np.int64)] = columns
+        self._compact()
+        lookup = np.array([vocab.index.get(term, -1) for term in self._terms], dtype=np.int32)  # term id -> column
         ids, counts = np.frombuffer(self._ids, dtype=np.int32), np.frombuffer(self._counts, dtype=np.int32)
         ends = np.frombuffer(self._ends, dtype=np.int64)
         surface = np.frombuffer(self._surface, dtype=np.int64).reshape(-1, HANDCRAFTED_WIDTH)
@@ -293,14 +301,14 @@ def load_vocabulary(path: str | Path) -> Vocabulary:
         count, terms, stopwords = payload["document_count"], payload["terms"], payload["stopwords"]
         if not is_int(count) or count < 1:
             raise FormatError(f"vocabulary file {path} has document_count {count!r}, not an integer >= 1")
-        for term, col, df in terms:
+        for position, (term, col, df) in enumerate(terms):
             if not (isinstance(term, str) and is_int(col) and is_int(df) and 1 <= df <= count):
                 raise FormatError(f"vocabulary file {path} has a malformed entry {[term, col, df]!r}")
+            if col != position or (position and term <= terms[position - 1][0]):  # ascending, dense columns
+                raise FormatError(f"vocabulary file {path} has entry {position} out of term order or non-dense")
         if not isinstance(stopwords, list) or not all(isinstance(word, str) for word in stopwords):
             raise FormatError(f"vocabulary file {path} has stopwords that are not a list of strings")
         index, doc_freq = {term: col for term, col, _ in terms}, {term: df for term, _, df in terms}
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"vocabulary file {path} is malformed: {exc}") from exc
-    if sorted(index.values()) != list(range(len(index))):
-        raise FormatError(f"vocabulary file {path} has non-dense column indices")
     return Vocabulary(index=index, doc_freq=doc_freq, document_count=count, stopwords=frozenset(stopwords))

@@ -25,7 +25,7 @@ if TYPE_CHECKING:  # only the linear-SVM functions load numpy, so exchange-forma
 
     from .features import PairFeatures
 
-MODEL_FORMAT_VERSION = 1
+MODEL_FORMAT_VERSION = 2  # 1, read still, listed only the nonzero weights
 
 DECISION_THRESHOLD = 0.5
 
@@ -117,22 +117,29 @@ def warmup_schedule(step: int, total_steps: int, cfg: TrainConfig) -> float:
     return cfg.peak_lr * (total_steps - step) / (total_steps - warmup_steps)
 
 
-def _margins(model: LinearModel, features: PairFeatures) -> list[float]:
-    """w . x + b of every pair, in pair order: one contiguous gather and one dot per pair."""
-    w, b = model.weights, model.bias
-    return [float(w[indices] @ values) + b for indices, values in map(features.pair, range(len(features)))]
+def _margins(model: LinearModel, features: PairFeatures) -> np.ndarray:
+    """w . x + b of every pair, in pair order, from each row's `np.add.reduceat` sums as either side, by chunk."""
+    import numpy as np
+    ptr, half = np.asarray(features.indptr), features.dimension // 2
+    sums = np.zeros((2, ptr.size - 1))
+    for first in range(0, ptr.size - 1, 1024):
+        starts = ptr[first : first + 1025] - ptr[first]
+        rows = np.flatnonzero(starts[1:] > starts[:-1])  # an empty row keeps 0: reduceat would give it an entry
+        entries = slice(ptr[first], ptr[first] + starts[-1])
+        for side, w in enumerate((model.weights[:half], model.weights[half:]) if rows.size else ()):
+            products = w[features.indices[entries]] * features.values[entries]
+            sums[side, first + rows] = np.add.reduceat(products, starts[rows])
+    return sums[0][features.left] + sums[1][features.right] + model.bias
 
 
 def hinge_objective(model: LinearModel, features: PairFeatures, labels: Sequence[int]) -> float:
-    """Full-batch regularized objective: 0.5*l2*||w||^2 + mean hinge loss."""
+    """Full-batch regularized objective: 0.5*l2*||w||^2 + mean hinge loss, summed in pair order."""
     import numpy as np
-    total = 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing model gives inf or NaN, not warnings
-        for margin, label in zip(_margins(model, features), labels):
-            y = 1.0 if label == 1 else -1.0
-            total += max(0.0, 1.0 - y * margin)
+        y = np.where(np.asarray(labels) == 1, 1.0, -1.0)
+        losses = np.fmax(0.0, 1.0 - y * _margins(model, features))  # fmax: a NaN margin adds no loss
         penalty = 0.5 * model.l2 * float(model.weights @ model.weights)
-    return penalty + total / len(labels)
+    return penalty + float(np.cumsum(losses)[-1]) / len(labels)
 
 
 def train_linear_svm(
@@ -141,12 +148,12 @@ def train_linear_svm(
     cfg: TrainConfig,
     on_epoch_end: Callable[[int, LinearModel], None] | None = None,
 ) -> LinearModel:
-    """Fit the linear SVM by mini-batch subgradient descent.
+    """Fit the linear SVM by seeded, bit-reproducible mini-batch subgradient descent.
 
-    Epoch shuffles come from one generator seeded with cfg.seed and batches
-    are visited in order, so training is bit-reproducible for a given
-    (data, config). Single-threaded by design. `on_epoch_end` receives the
-    epoch index and a snapshot of the model at each epoch boundary.
+    Each step shrinks w by 1 - lr * l2; then each pair of its batch of k with y * (w . x + b) < 1, in
+    order, adds lr / k * y * x to w and lr / k * y to b. w is kept as scale * w, so a shrink is one
+    multiply; the scale is folded in when below 1e-9 (a factor <= 0 included) and at each epoch
+    end, before the divergence check and `on_epoch_end(epoch, snapshot)`.
     """
     import numpy as np
     if len(features) != len(labels):
@@ -159,32 +166,37 @@ def train_linear_svm(
     if not np.all(np.isfinite(features.values)):
         raise DataError("feature values are not all finite")
 
-    y = np.where(np.asarray(labels) == 1, 1.0, -1.0)
-    w = np.zeros(features.dimension)
-    b = 0.0
+    y = [1.0 if label == 1 else -1.0 for label in labels]
+    w, b, scale = np.zeros(features.dimension), 0.0, 1.0  # the weights are scale * w
+    w_left, w_right = np.split(w, 2)  # views: the weights of a row as a left and as a right side
+    ptr, idx, val, left, right = features.indptr, features.indices, features.values, features.left, features.right
     n = len(features)
     steps_per_epoch = (n + cfg.batch_size - 1) // cfg.batch_size
-    total_steps = cfg.epochs * steps_per_epoch
     rng = np.random.default_rng(cfg.seed)
 
-    step = 0
     # A rate too high overflows to inf and NaN; the divergence check reports that, not numpy.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs):
-            order = rng.permutation(n)
-            for start in range(0, n, cfg.batch_size):
+            order = rng.permutation(n).tolist()
+            for step, start in enumerate(range(0, n, cfg.batch_size), epoch * steps_per_epoch):
                 batch = order[start : start + cfg.batch_size]
-                lr = warmup_schedule(step, total_steps, cfg)
-                # Subgradient of 0.5*l2*||w||^2 + mean_batch hinge.
-                w *= 1.0 - lr * cfg.l2
-                scale = lr / len(batch)
+                lr = warmup_schedule(step, cfg.epochs * steps_per_epoch, cfg)
+                scale *= 1.0 - lr * cfg.l2
+                if scale < 1e-9:
+                    w *= scale
+                    scale = 1.0
+                rate = lr / len(batch)
                 for i in batch:
-                    indices, values = features.pair(i)
-                    margin = y[i] * (float(w[indices] @ values) + b)
-                    if margin < 1.0:
-                        w[indices] += scale * y[i] * values
-                        b += scale * y[i]
-                step += 1
+                    a, z, c, d = ptr[left[i]], ptr[left[i] + 1], ptr[right[i]], ptr[right[i] + 1]
+                    li, lv, ri, rv = idx[a:z], val[a:z], idx[c:d], val[c:d]
+                    wl, wr = w_left[li], w_right[ri]
+                    if y[i] * (scale * (float(wl.dot(lv)) + float(wr.dot(rv))) + b) < 1.0:
+                        update = rate * y[i] / scale
+                        w_left[li] = wl + update * lv
+                        w_right[ri] = wr + update * rv
+                        b += rate * y[i]
+            w *= scale
+            scale = 1.0
             if not (math.isfinite(b) and np.all(np.isfinite(w))):
                 raise DataError(f"training diverged in epoch {epoch + 1}: weights or bias not finite; lower the rate")
             if on_epoch_end is not None:
@@ -203,9 +215,9 @@ def predict(
         raise UsageError(f"{len(features)} feature vectors vs {len(pairs)} pairs")
     with np.errstate(over="ignore", invalid="ignore"):  # a NaN margin is reported below, not warned about
         margins = _margins(model, features)
-    if any(map(math.isnan, margins)):
+    if np.isnan(margins).any():
         raise DataError("prediction margin is NaN: the model weights overflow or are not finite")
-    scores = map(_sigmoid, margins)
+    scores = map(_sigmoid, margins.tolist())
     return [PredictionRecord(p.doc_id, p.pair_index, score, _label(score), source) for p, score in zip(pairs, scores)]
 
 
@@ -301,48 +313,39 @@ def ensemble(
 
 
 def save_model(model: LinearModel, path: str | Path) -> None:
-    """Serialize nonzero weights to versioned JSON, written in chunks but spelled as one `json.dumps`."""
-    import numpy as np
-    nonzero = np.flatnonzero(model.weights)
-    payload = {
-        "version": MODEL_FORMAT_VERSION,
-        "dimension": model.dimension,
-        "bias": model.bias,
-        "lambda": model.l2,
-        "weights": [],
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(json.dumps(payload)[:-2])  # all but the "]}" that closes the weights and the object
-        for start in range(0, nonzero.size, 4096):
-            chunk = nonzero[start : start + 4096]
-            entries = json.dumps([list(entry) for entry in zip(chunk.tolist(), model.weights[chunk].tolist())])
-            handle.write(entries[1:-1] if start == 0 else ", " + entries[1:-1])
-        handle.write("]}")
+    """Serialize to versioned JSON, the weights as one dense list of `dimension` floats."""
+    payload = {"version": MODEL_FORMAT_VERSION, "dimension": model.dimension, "bias": model.bias, "lambda": model.l2}
+    Path(path).write_text(json.dumps({**payload, "weights": model.weights.tolist()}), encoding="utf-8")
+
+
+def _dense_weights(entries: list, dimension: int, path: str | Path) -> list:
+    """The weights of a version-1 file, which lists the nonzero ones as [index, weight] entries."""
+    weights, seen = [0.0] * dimension, set()
+    for index, value in entries:
+        if not is_int(index):
+            raise FormatError(f"model file {path} has a non-integer weight index {index!r}")
+        if index < 0:
+            raise FormatError(f"model file {path} has a negative weight index {index}")
+        if index in seen:
+            raise FormatError(f"model file {path} repeats weight index {index}")
+        seen.add(index)
+        weights[index] = value
+    return weights
 
 
 def load_model(path: str | Path) -> LinearModel:
     import numpy as np
-    payload = read_artifact(path, "model", MODEL_FORMAT_VERSION)
+    payload = read_artifact(path, "model", 1, MODEL_FORMAT_VERSION)
     try:
-        dimension, bias, l2 = payload["dimension"], payload["bias"], payload["lambda"]
+        dimension, bias, l2, weights = payload["dimension"], payload["bias"], payload["lambda"], payload["weights"]
         if not (is_int(dimension) and is_number(bias) and is_number(l2)):
             raise FormatError(f"model file {path} needs an integer dimension and numbers for bias and lambda")
-        weights = np.zeros(dimension)
-        seen: set[int] = set()
-        for index, value in payload["weights"]:
-            if not is_int(index):
-                raise FormatError(f"model file {path} has a non-integer weight index {index!r}")
-            if index < 0:
-                raise FormatError(f"model file {path} has a negative weight index {index}")
-            if index in seen:
-                raise FormatError(f"model file {path} repeats weight index {index}")
-            if not is_number(value):
-                raise FormatError(f"model file {path} has a non-numeric weight {value!r}")
-            seen.add(index)
-            weights[index] = float(value)
-        model = LinearModel(weights=weights, bias=float(bias), l2=float(l2))
+        weights = _dense_weights(weights, dimension, path) if payload["version"] == 1 else weights
+        if not (isinstance(weights, list) and len(weights) == dimension and set(map(type, weights)) <= {int, float}):
+            raise FormatError(f"model file {path} needs its weights as a list of {dimension} numbers")
+        model = LinearModel(weights=np.array(weights, dtype=np.float64), bias=float(bias), l2=float(l2))
     except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise FormatError(f"model file {path} is malformed: {exc}") from exc
-    if not np.all(np.isfinite(weights)) or not math.isfinite(model.bias):
+    if not np.all(np.isfinite(model.weights)) or not math.isfinite(model.bias):
         raise FormatError(f"model file {path} contains non-finite parameters")
     return model

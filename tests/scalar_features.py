@@ -3,8 +3,10 @@
 The library scans each distinct paragraph once, during vocabulary fitting
 when it trains, and stores each side block once as a CSR row that pairs
 share; its model reads pairs from those rows. These functions are the plain
-per-term, per-pair featurization and the per-vector SGD and margin loop it
-replaced; the differential tests require bit-identical output from both.
+per-term, per-pair featurization and a per-vector SGD and margin loop with
+the library's arithmetic; the differential tests require bit-identical
+output from both. `dense_shrink_train_linear_svm` is the SGD as it was
+before its weights carried a scale: the same descent, equal up to rounding.
 """
 
 from __future__ import annotations
@@ -32,8 +34,15 @@ class Vector:
 
 
 def vectors(features: PairFeatures) -> list[Vector]:
-    """Every pair of `features` as a Vector, gathered by `PairFeatures.pair`."""
-    return [Vector(*features.pair(i), features.dimension) for i in range(len(features))]
+    """Every pair of `features` as one Vector: its left row, then its right row shifted by one block."""
+    ptr, half = features.indptr, features.dimension // 2
+    gathered = []
+    for left, right in zip(features.left, features.right):
+        a, b, c, d = ptr[left], ptr[left + 1], ptr[right], ptr[right + 1]
+        indices = np.concatenate((features.indices[a:b], features.indices[c:d] + half))
+        values = np.concatenate((features.values[a:b], features.values[c:d]))
+        gathered.append(Vector(indices, values, features.dimension))
+    return gathered
 
 
 @dataclass(frozen=True)
@@ -126,8 +135,56 @@ def featurize(
     return vectors
 
 
-def train_linear_svm(features: Sequence[Vector], labels: Sequence[int], cfg: TrainConfig) -> LinearModel:
-    """Mini-batch subgradient descent, one gathered vector per visit, as the library's SGD."""
+def _sides(vec: Vector) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The indices and values of the left block of `vec`, then those of its right block, unshifted."""
+    half = vec.dimension // 2
+    left = vec.indices < half
+    return vec.indices[left], vec.values[left], vec.indices[~left] - half, vec.values[~left]
+
+
+def train_linear_svm(
+    features: Sequence[Vector], labels: Sequence[int], cfg: TrainConfig, snapshots: list[np.ndarray] | None = None
+) -> LinearModel:
+    """Mini-batch subgradient descent, one gathered vector per visit, as the library's SGD.
+
+    The weights are scale * w, and a margin is the sum of one dot per side
+    block. `snapshots` receives a copy of the weights at each epoch end.
+    """
+    y = [1.0 if label == 1 else -1.0 for label in labels]
+    w = np.zeros(features[0].dimension)
+    half = w.size // 2
+    b, scale = 0.0, 1.0
+    n = len(features)
+    total_steps = cfg.epochs * ((n + cfg.batch_size - 1) // cfg.batch_size)
+    rng = np.random.default_rng(cfg.seed)
+    step = 0
+    for _ in range(cfg.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            batch = order[start : start + cfg.batch_size]
+            lr = warmup_schedule(step, total_steps, cfg)
+            scale *= 1.0 - lr * cfg.l2
+            if scale < 1e-9:
+                w *= scale
+                scale = 1.0
+            rate = lr / len(batch)
+            for i in batch:
+                li, lv, ri, rv = _sides(features[i])
+                dot = float(w[li] @ lv) + float(w[half + ri] @ rv)
+                if y[i] * (scale * dot + b) < 1.0:
+                    w[li] += (rate * y[i] / scale) * lv
+                    w[half + ri] += (rate * y[i] / scale) * rv
+                    b += rate * y[i]
+            step += 1
+        w *= scale
+        scale = 1.0
+        if snapshots is not None:
+            snapshots.append(w.copy())
+    return LinearModel(weights=w, bias=b, l2=cfg.l2)
+
+
+def dense_shrink_train_linear_svm(features: Sequence[Vector], labels: Sequence[int], cfg: TrainConfig) -> LinearModel:
+    """The same descent with every weight shrunk at every step and one dot per visit: equal up to rounding."""
     y = np.where(np.asarray(labels) == 1, 1.0, -1.0)
     w = np.zeros(features[0].dimension)
     b = 0.0
@@ -152,8 +209,15 @@ def train_linear_svm(features: Sequence[Vector], labels: Sequence[int], cfg: Tra
     return LinearModel(weights=w, bias=b, l2=cfg.l2)
 
 
+def side_sum(products: np.ndarray) -> float:
+    """One side block's share of a margin: `np.add.reduceat` of its products, 0.0 when it has none."""
+    return float(np.add.reduceat(products, [0])[0]) if products.size else 0.0
+
+
 def margin(model: LinearModel, vec: Vector) -> float:
-    return float(model.weights[vec.indices] @ vec.values) + model.bias
+    li, lv, ri, rv = _sides(vec)
+    w, half = model.weights, vec.dimension // 2
+    return side_sum(w[li] * lv) + side_sum(w[half + ri] * rv) + model.bias
 
 
 def hinge_objective(model: LinearModel, features: Sequence[Vector], labels: Sequence[int]) -> float:

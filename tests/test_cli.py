@@ -168,10 +168,50 @@ class TestPredictAndEvaluate:
         assert code == 2
         assert "unsupported model version None" in caplog.text
 
+    @pytest.mark.parametrize("bad", ["too-short", '"0.5"', "true", "1e400", "NaN"])
+    def test_bad_version_2_weights_are_exit_2(self, capsys, caplog, synth_corpus, trained, tmp_path, bad):
+        text = (trained / cli.MODEL_FILENAME).read_text()
+        assert json.loads(text)["version"] == 2
+        head, weights = text.split('"weights": [')
+        weights = weights[weights.index(",") + 1 :] if bad == "too-short" else f"{bad}, " + weights
+        model = tmp_path / "model.json"
+        model.write_text(head + '"weights": [' + weights)
+        code, _ = run_cli(
+            capsys,
+            "predict",
+            "--dataset-root", synth_corpus,
+            "--difficulty", "easy",
+            "--split", "validation",
+            "--model", model,
+            "--vocab", trained / cli.VOCABULARY_FILENAME,
+            "--out", tmp_path / "out",
+        )
+        assert code == 2
+        [error] = [r for r in caplog.records if r.levelno >= logging.ERROR]
+        assert error.exc_info is None and str(model) in error.getMessage()
+
+    def test_out_of_order_vocabulary_is_exit_2(self, capsys, caplog, synth_corpus, trained, tmp_path):
+        payload = json.loads((trained / cli.VOCABULARY_FILENAME).read_text())
+        payload["terms"][1][0] = payload["terms"][0][0]  # a repeated term
+        vocab = tmp_path / "vocabulary.json"
+        vocab.write_text(json.dumps(payload))
+        code, _ = run_cli(
+            capsys,
+            "predict",
+            "--dataset-root", synth_corpus,
+            "--difficulty", "easy",
+            "--split", "validation",
+            "--model", trained / cli.MODEL_FILENAME,
+            "--vocab", vocab,
+            "--out", tmp_path / "out",
+        )
+        assert code == 2
+        assert "entry 1 out of term order" in caplog.text
+
     def test_nan_margin_is_exit_2_without_predictions(self, capsys, caplog, synth_corpus, trained, tmp_path):
         # Finite weights, so load_model accepts them, whose dot products overflow to NaN.
         payload = json.loads((trained / cli.MODEL_FILENAME).read_text())
-        payload["weights"] = [[i, 1.7e308 if i % 2 == 0 else -1.7e308] for i in range(payload["dimension"])]
+        payload["weights"] = [1.7e308 if i % 2 == 0 else -1.7e308 for i in range(payload["dimension"])]
         model = tmp_path / "model.json"
         model.write_text(json.dumps(payload))
         out = tmp_path / "out"

@@ -4,6 +4,7 @@ import json
 import math
 import random
 import string
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from styleseam.corpus import Difficulty, Document, ParagraphPair, build_pairs
 from styleseam.errors import FormatError, UsageError
 from styleseam.features import (
     HANDCRAFTED_WIDTH,
+    ParagraphTable,
     Vocabulary,
     featurize,
     fit_vocabulary,
@@ -53,6 +55,28 @@ class TestFitVocabulary:
     def test_empty_corpus_rejected(self):
         with pytest.raises(UsageError):
             fit_vocabulary([], set())
+
+    def test_compactions_across_rows_and_other_texts(self):
+        """More texts than one compaction holds; uncut sides become rows, the other texts only count."""
+        rng = random.Random(31)
+        alphabet = [f"w{i}" for i in range(300)]
+        texts = [" ".join(rng.choices(alphabet, k=rng.randint(0, 30))) for _ in range(2500)]
+        texts += texts[:300]  # repeated texts count once per occurrence
+        pairs = [ParagraphPair(doc_id=0, pair_index=i, left=texts[i], right=texts[i + 1]) for i in range(0, 2400, 3)]
+        table = ParagraphTable(pairs)
+        vocab = fit_vocabulary(texts, {"w0"}, table)
+        expected: Counter[str] = Counter()
+        for text in texts:
+            expected.update(set(text.split()) - {"w0"})
+        assert vocab.doc_freq == dict(expected)
+        assert vocab == fit_vocabulary(texts, {"w0"})
+        features = table.featurize(vocab)
+        for pair, vec in zip(pairs, vectors(features)):
+            assert self._same(vec, _pair_vector(pair, vocab))
+
+    @staticmethod
+    def _same(a: Vector, b: Vector) -> bool:
+        return a.indices.tobytes() == b.indices.tobytes() and a.values.tobytes() == b.values.tobytes()
 
     def test_matches_brute_force_df_oracle(self):
         rng = random.Random(29)
@@ -434,6 +458,22 @@ class TestStopwordsAndSerialization:
         path = tmp_path / "vocab.json"
         path.write_text("[]")
         with pytest.raises(FormatError):
+            load_vocabulary(path)
+
+    @pytest.mark.parametrize(
+        "terms",
+        [
+            [["a", 0, 1], ["b", 1, 1], ["a", 0, 2]],  # a repeated term would load as its last entry
+            [["a", 0, 1], ["a", 1, 1]],
+            [["a", 1, 1], ["b", 0, 1]],  # dense columns, but not in term order
+            [["b", 0, 1], ["a", 1, 1]],
+            [["a", 1, 1]],
+        ],
+    )
+    def test_terms_out_of_order_rejected(self, tmp_path, terms):
+        path = tmp_path / "vocab.json"
+        path.write_text(json.dumps({"version": 1, "document_count": 2, "terms": terms, "stopwords": []}))
+        with pytest.raises(FormatError, match="out of term order or non-dense"):
             load_vocabulary(path)
 
     def test_non_dense_indices_rejected(self, tmp_path):

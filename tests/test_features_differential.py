@@ -4,17 +4,19 @@ Every comparison is exact: same indices, same dtypes, same value bytes. The
 training path fits the vocabulary through a ParagraphTable and featurizes
 from the scans fitting made; the prediction path featurizes on its own.
 The model trains and scores from the table's rows, and must give the bits
-the reference's per-vector SGD and margin loop give.
+the reference's per-vector SGD and margin loop give; against the SGD that
+shrank every weight at every step it must agree up to rounding.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import scalar_features as ref
-from styleseam.corpus import Difficulty, Document, ParagraphPair, build_pairs
+from styleseam.corpus import Difficulty, Document, ParagraphPair, build_pairs, load_documents, load_truth
 from styleseam.features import (
     HANDCRAFTED_WIDTH,
     PairFeatures,
@@ -245,9 +247,33 @@ def test_model_on_table_matches_per_vector_reference(layouts, pool, strategy, bu
     _assert_model_matches_reference(docs, TruncationConfig(budget=budget, strategy=strategy), labels, cfg)
 
 
+def _assert_close_to_dense_shrink(features, pairs, labels, cfg):
+    """Against the SGD that shrank every weight at every step: weights within 1e-12 of the largest, same accuracy."""
+    model = train_linear_svm(features, labels, cfg)
+    dense = ref.dense_shrink_train_linear_svm(ref.vectors(features), labels, cfg)
+    assert np.max(np.abs(model.weights - dense.weights)) <= 1e-12 * np.max(np.abs(dense.weights))
+    correct = [sum(r.label == y for r, y in zip(predict(m, features, pairs), labels)) for m in (model, dense)]
+    assert correct[0] == correct[1]
+
+
 @pytest.mark.parametrize("strategy", list(TruncationStrategy))
 def test_model_with_cut_uncut_and_repeated_paragraphs(strategy):
     docs = _mixed_documents()
     labels = [1, 0, 1, 1, 0, 0, 1, 0, 1]
     assert len(labels) == len(build_pairs(docs))
-    _assert_model_matches_reference(docs, TruncationConfig(budget=12, strategy=strategy), labels, TrainConfig(epochs=4))
+    truncation, cfg = TruncationConfig(budget=12, strategy=strategy), TrainConfig(epochs=4)
+    _assert_model_matches_reference(docs, truncation, labels, cfg)
+    pairs, _, features = _training_path(docs, STOPWORDS, truncation)
+    _assert_close_to_dense_shrink(features, pairs, labels, cfg)
+
+
+@pytest.mark.parametrize(
+    ("strategy", "budget"), [(TruncationStrategy.TRANSITION, 512), (TruncationStrategy.LONGEST_FIRST, 16)]
+)
+def test_model_on_synthetic_corpus_close_to_dense_shrink(synth_corpus, strategy, budget):
+    split = synth_corpus / "easy" / "train"
+    docs = load_documents(split, Difficulty.EASY)
+    pairs = build_pairs(docs, load_truth(split, docs))
+    table = ParagraphTable(pairs, TruncationConfig(budget=budget, strategy=strategy))
+    vocab = fit_vocabulary([p for doc in docs for p in doc.paragraphs], STOPWORDS, table)
+    _assert_close_to_dense_shrink(table.featurize(vocab), pairs, [p.label for p in pairs], TrainConfig())

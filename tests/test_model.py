@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+import scalar_features as ref
 from styleseam.corpus import ParagraphPair
 from styleseam.errors import DataError, FormatError, StyleSeamError, UsageError
 from styleseam.features import PairFeatures
@@ -16,6 +17,7 @@ from styleseam.model import (
     LinearModel,
     PredictionRecord,
     TrainConfig,
+    _margins,
     ensemble,
     hinge_objective,
     load_external_predictions,
@@ -175,6 +177,52 @@ class TestTrainLinearSvm:
         for previous, current in zip(history, history[1:]):
             assert current <= previous * 1.10
 
+    @pytest.mark.parametrize("l2", [1.0, 1.5, 4.0])
+    def test_shrink_factor_at_or_below_zero(self, l2):
+        """peak_lr * l2 >= 1 makes the factor 1 - lr * l2 reach 0 or go negative: the scale is folded in."""
+        features, labels = _separable_toy()
+        cfg = TrainConfig(peak_lr=1.0, l2=l2, epochs=3, seed=11)
+        model = train_linear_svm(features, labels, cfg)
+        expected = ref.train_linear_svm(ref.vectors(features), labels, cfg)
+        assert model.weights.tobytes() == expected.weights.tobytes()
+        assert model.bias == expected.bias
+        dense = ref.dense_shrink_train_linear_svm(ref.vectors(features), labels, cfg)
+        assert np.all(np.isfinite(model.weights))
+        assert np.max(np.abs(model.weights - dense.weights)) <= 1e-12 * np.max(np.abs(dense.weights))
+        assert model.bias == dense.bias
+
+    def test_diverging_rate_raises_without_warnings(self):
+        features, labels = _separable_toy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="training diverged in epoch 1"):
+                train_linear_svm(features, labels, TrainConfig(peak_lr=1e300, epochs=3))
+
+    def test_epoch_snapshots_are_the_folded_weights(self):
+        features, labels = _separable_toy()
+        cfg = TrainConfig(peak_lr=0.5, l2=0.05, epochs=4, batch_size=3, seed=2)
+        snapshots: list[LinearModel] = []
+        model = train_linear_svm(features, labels, cfg, on_epoch_end=lambda _, snapshot: snapshots.append(snapshot))
+        expected: list[np.ndarray] = []
+        ref.train_linear_svm(ref.vectors(features), labels, cfg, snapshots=expected)
+        assert [s.weights.tobytes() for s in snapshots] == [w.tobytes() for w in expected]
+        assert snapshots[-1].weights is not model.weights
+        assert snapshots[-1].weights.tobytes() == model.weights.tobytes() and snapshots[-1].bias == model.bias
+
+    def test_bitwise_determinism_with_folds_and_shared_rows(self):
+        """Pairs share rows, and l2 is high enough that the scale falls below 1e-9 and is folded mid-epoch."""
+        rng = np.random.default_rng(8)
+        rows = [dict(zip(rng.choice(8, 3, replace=False).tolist(), rng.normal(size=3).tolist())) for _ in range(30)]
+        features = _features(rows, 16)
+        features.left, features.right = features.left[:-1], features.left[1:]  # pair i: side rows i and i + 1
+        labels = [i % 2 for i in range(len(features))]
+        cfg = TrainConfig(peak_lr=0.9, l2=0.99, epochs=3, batch_size=1, seed=4)
+        factors = [1.0 - warmup_schedule(step, 3 * len(features), cfg) * cfg.l2 for step in range(len(features))]
+        assert math.prod(factors[:-1]) < 1e-9  # within the first epoch
+        a, b = train_linear_svm(features, labels, cfg), train_linear_svm(features, labels, cfg)
+        assert a.weights.tobytes() == b.weights.tobytes() and a.bias.hex() == b.bias.hex()
+        assert a.weights.tobytes() == ref.train_linear_svm(ref.vectors(features), labels, cfg).weights.tobytes()
+
     def test_close_to_full_batch_reference(self):
         # 200-sample random sparse set with 15% label noise so the optimum
         # has a comfortably nonzero objective.
@@ -213,6 +261,30 @@ class TestTrainLinearSvm:
             best = min(best, objective)
 
         assert abs(sgd_objective - best) <= 0.05 * best
+
+
+def test_batched_margins_equal_per_row_reduceat_sums():
+    """Each side's share of a margin is `np.add.reduceat(products, [0])` of its row alone, across row chunks."""
+    rng = np.random.default_rng(21)
+    half = 300
+    sizes = rng.integers(0, 120, size=2600)
+    sizes[rng.random(sizes.size) < 0.1] = 0  # empty rows, some at chunk edges
+    sizes[[1023, 1024, 2047, -1]] = 0
+    indptr = np.concatenate(([0], np.cumsum(sizes))).tolist()
+    indices = np.concatenate([np.sort(rng.choice(half, size, replace=False)) for size in sizes])
+    values = rng.normal(size=indices.size) * 10.0 ** rng.integers(-8, 8, size=indices.size)
+    left, right = rng.integers(0, sizes.size, size=3000).tolist(), rng.integers(0, sizes.size, size=3000).tolist()
+    features = PairFeatures(indptr, indices, values, left, right, 2 * half)
+    model = LinearModel(weights=rng.normal(size=2 * half), bias=0.25, l2=1e-4)
+
+    def row_sum(row: int, weights: np.ndarray) -> float:
+        a, b = indptr[row], indptr[row + 1]
+        return ref.side_sum(weights[indices[a:b]] * values[a:b])
+
+    w_left, w_right = model.weights[:half], model.weights[half:]
+    expected = [row_sum(l, w_left) + row_sum(r, w_right) + model.bias for l, r in zip(left, right)]
+    assert [m.hex() for m in _margins(model, features).tolist()] == [m.hex() for m in expected]
+    assert [m.hex() for m in expected] == [ref.margin(model, vec).hex() for vec in ref.vectors(features)]
 
 
 class TestPredict:
@@ -266,6 +338,14 @@ class TestPredict:
             assert hinge_objective(model, features, [0]) == math.inf
             [record] = predict(model, features, _pairs(1))
         assert record.score == 1.0
+
+    def test_nan_margin_adds_no_hinge_loss(self):
+        """A NaN margin loses max(0, NaN) = 0, so the objective is the overflowing penalty alone: inf, not NaN."""
+        model = LinearModel(weights=np.array([1.7e308, -1.7e308]), bias=0.0, l2=1e-4)
+        features = _features([{0: 1e10, 1: 1e10}, {0: 1.0}], 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert hinge_objective(model, features, [0, 1]) == math.inf
 
     def test_label_invariant_under_positive_rescaling(self):
         rng = np.random.default_rng(3)
@@ -473,7 +553,7 @@ class TestModelSerialization:
 
     @pytest.mark.parametrize("nonzero", [0, 1, 4095, 4096, 4097, 9000])
     def test_bytes_equal_one_json_dump(self, tmp_path, nonzero):
-        """The chunked writer spells the file exactly as json.dumps of the whole payload."""
+        """A version-2 file is json.dumps of the payload, every weight listed in column order."""
         rng = np.random.default_rng(nonzero)
         weights = np.zeros(10000)
         index = rng.choice(weights.size, size=nonzero, replace=False)
@@ -481,14 +561,9 @@ class TestModelSerialization:
         model = LinearModel(weights=weights, bias=-0.1 + 1e-17, l2=1e-4)
         path = tmp_path / "model.json"
         save_model(model, path)
-        expected = {
-            "version": 1,
-            "dimension": 10000,
-            "bias": model.bias,
-            "lambda": model.l2,
-            "weights": [[int(i), float(weights[i])] for i in np.nonzero(weights)[0]],
-        }
+        expected = {"version": 2, "dimension": 10000, "bias": model.bias, "lambda": model.l2, "weights": list(weights)}
         assert path.read_text(encoding="utf-8") == json.dumps(expected)
+        assert load_model(path).weights.tobytes() == weights.tobytes()
 
     def test_version_check(self, tmp_path):
         path = tmp_path / "model.json"
@@ -535,6 +610,27 @@ class TestModelSerialization:
         payload[field] = value
         path = tmp_path / "model.json"
         path.write_text(json.dumps(payload))
+        with pytest.raises(FormatError, match="model file"):
+            load_model(path)
+
+    def test_version_1_file_predicts_as_version_2(self, tmp_path):
+        rng = np.random.default_rng(5)
+        weights = np.where(rng.random(40) < 0.5, 0.0, rng.normal(size=40))
+        model = LinearModel(weights=weights, bias=-0.375, l2=1e-4)
+        save_model(model, tmp_path / "v2.json")
+        entries = [[int(i), float(weights[i])] for i in np.flatnonzero(weights)]
+        v1 = {"version": 1, "dimension": 40, "bias": -0.375, "lambda": 1e-4, "weights": entries}
+        (tmp_path / "v1.json").write_text(json.dumps(v1))
+        old, new = load_model(tmp_path / "v1.json"), load_model(tmp_path / "v2.json")
+        assert old.weights.tobytes() == new.weights.tobytes() == weights.tobytes()
+        features = _dense(rng.normal(size=(30, 40)))
+        assert predict(old, features, _pairs(30)) == predict(new, features, _pairs(30))
+
+    @pytest.mark.parametrize("weights", ["[0.5, 1.5]", '[0.5, 1.5, "2"]', "[0.5, 1.5, true]", "[0.5, 1e400, 2]",
+                                         "[0.5, NaN, 2]", '"0.5"', "{}", "[[0, 0.5]]"])
+    def test_version_2_weights_rejected(self, tmp_path, weights):
+        path = tmp_path / "model.json"
+        path.write_text(f'{{"version": 2, "dimension": 3, "bias": 0, "lambda": 1, "weights": {weights}}}')
         with pytest.raises(FormatError, match="model file"):
             load_model(path)
 
