@@ -76,7 +76,8 @@ def _check_coverage(
     gold_by_doc: Mapping[int, Sequence[int]],
     pred_by_doc: Mapping[int, Sequence[int]],
 ) -> None:
-    missing = sorted(set(gold_by_doc) - set(pred_by_doc))
+    """A document without pairs needs no solution, since no command writes one; one supplied must be empty."""
+    missing = sorted(doc_id for doc_id, gold in gold_by_doc.items() if gold and doc_id not in pred_by_doc)
     extra = sorted(set(pred_by_doc) - set(gold_by_doc))
     if missing or extra:
         raise CoverageError(
@@ -84,7 +85,7 @@ def _check_coverage(
         )
     bad_lengths = [
         doc_id
-        for doc_id in gold_by_doc
+        for doc_id in pred_by_doc
         if len(pred_by_doc[doc_id]) != len(gold_by_doc[doc_id])
     ]
     if bad_lengths:
@@ -117,7 +118,7 @@ def macro_f1(
         pred_flat: list[int] = []
         for doc_id in doc_ids:
             gold_flat.extend(gold_by_doc[doc_id])
-            pred_flat.extend(pred_by_doc[doc_id])
+            pred_flat.extend(pred_by_doc.get(doc_id, ()))
         f0 = f1_per_class(gold_flat, pred_flat, 0)
         f1 = f1_per_class(gold_flat, pred_flat, 1)
         n1 = sum(gold_flat)

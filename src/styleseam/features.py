@@ -309,6 +309,8 @@ def load_vocabulary(path: str | Path) -> Vocabulary:
         if not isinstance(stopwords, list) or not all(isinstance(word, str) for word in stopwords):
             raise FormatError(f"vocabulary file {path} has stopwords that are not a list of strings")
         index, doc_freq = {term: col for term, col, _ in terms}, {term: df for term, _, df in terms}
-    except (KeyError, TypeError, ValueError) as exc:
+        vocab = Vocabulary(index=index, doc_freq=doc_freq, document_count=count, stopwords=frozenset(stopwords))
+        vocab.idf_array  # computed here, so a document_count too large for a float is a FormatError
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"vocabulary file {path} is malformed: {exc}") from exc
-    return Vocabulary(index=index, doc_freq=doc_freq, document_count=count, stopwords=frozenset(stopwords))
+    return vocab

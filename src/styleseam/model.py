@@ -25,7 +25,7 @@ if TYPE_CHECKING:  # only the linear-SVM functions load numpy, so exchange-forma
 
     from .features import PairFeatures
 
-MODEL_FORMAT_VERSION = 2  # 1, read still, listed only the nonzero weights
+MODEL_FORMAT_VERSION = 2
 
 DECISION_THRESHOLD = 0.5
 
@@ -40,11 +40,7 @@ class EnsembleMode(str, Enum):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Optimizer settings; defaults are tuned for the linear model.
-
-    (epochs=5, batch_size=4, warmup_ratio=0.1 are also the documented
-    defaults recorded for external-model metadata.)
-    """
+    """Optimizer settings; defaults are tuned for the linear model."""
 
     peak_lr: float = 0.1
     epochs: int = 5
@@ -54,14 +50,16 @@ class TrainConfig:
     l2: float = 1e-4
 
     def __post_init__(self) -> None:
-        if self.peak_lr <= 0:
-            raise UsageError(f"peak_lr must be positive, got {self.peak_lr}")
+        if not (math.isfinite(self.peak_lr) and self.peak_lr > 0):
+            raise UsageError(f"peak_lr must be positive and finite, got {self.peak_lr}")
         if self.epochs < 1 or self.batch_size < 1:
             raise UsageError("epochs and batch_size must be positive integers")
         if not 0.0 <= self.warmup_ratio <= 1.0:
             raise UsageError(f"warmup_ratio must be in [0, 1], got {self.warmup_ratio}")
         if self.l2 <= 0:
             raise UsageError(f"l2 must be positive, got {self.l2}")
+        if self.seed < 0:
+            raise UsageError(f"seed must be a non-negative integer, got {self.seed}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -318,33 +316,17 @@ def save_model(model: LinearModel, path: str | Path) -> None:
     Path(path).write_text(json.dumps({**payload, "weights": model.weights.tolist()}), encoding="utf-8")
 
 
-def _dense_weights(entries: list, dimension: int, path: str | Path) -> list:
-    """The weights of a version-1 file, which lists the nonzero ones as [index, weight] entries."""
-    weights, seen = [0.0] * dimension, set()
-    for index, value in entries:
-        if not is_int(index):
-            raise FormatError(f"model file {path} has a non-integer weight index {index!r}")
-        if index < 0:
-            raise FormatError(f"model file {path} has a negative weight index {index}")
-        if index in seen:
-            raise FormatError(f"model file {path} repeats weight index {index}")
-        seen.add(index)
-        weights[index] = value
-    return weights
-
-
 def load_model(path: str | Path) -> LinearModel:
     import numpy as np
-    payload = read_artifact(path, "model", 1, MODEL_FORMAT_VERSION)
+    payload = read_artifact(path, "model", MODEL_FORMAT_VERSION)
     try:
         dimension, bias, l2, weights = payload["dimension"], payload["bias"], payload["lambda"], payload["weights"]
         if not (is_int(dimension) and is_number(bias) and is_number(l2)):
             raise FormatError(f"model file {path} needs an integer dimension and numbers for bias and lambda")
-        weights = _dense_weights(weights, dimension, path) if payload["version"] == 1 else weights
         if not (isinstance(weights, list) and len(weights) == dimension and set(map(type, weights)) <= {int, float}):
             raise FormatError(f"model file {path} needs its weights as a list of {dimension} numbers")
         model = LinearModel(weights=np.array(weights, dtype=np.float64), bias=float(bias), l2=float(l2))
-    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"model file {path} is malformed: {exc}") from exc
     if not np.all(np.isfinite(model.weights)) or not math.isfinite(model.bias):
         raise FormatError(f"model file {path} contains non-finite parameters")

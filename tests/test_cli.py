@@ -12,6 +12,9 @@ from styleseam import cli
 from synthdata import generate_corpus
 
 
+NEGATIVE_SEED = "seed must be a non-negative integer, got -1"
+
+
 def run_cli(capsys, *args: str) -> tuple[int, str]:
     code = cli.main([str(a) for a in args])
     captured = capsys.readouterr()
@@ -131,6 +134,28 @@ class TestTrain:
         assert "training diverged in epoch 1" in caplog.text
         assert not (tmp_path / cli.MODEL_FILENAME).exists()
 
+    @pytest.mark.parametrize(
+        ("command", "settings", "message"),
+        [
+            pytest.param("train", ["--seed", "-1"], NEGATIVE_SEED, id="train-seed"),
+            pytest.param("train", {"seed": -1}, NEGATIVE_SEED, id="train-config-seed"),
+            pytest.param("random-baseline", ["--seed", "-1"], NEGATIVE_SEED, id="random-baseline-seed"),
+            pytest.param("train", ["--peak-lr", "nan"], "peak_lr must be positive and finite, got nan", id="nan-rate"),
+            pytest.param("train", ["--peak-lr", "inf"], "peak_lr must be positive and finite, got inf", id="inf-rate"),
+        ],
+    )
+    def test_bad_setting_is_exit_2(self, capsys, caplog, pan_fixture, tmp_path, command, settings, message):
+        if isinstance(settings, dict):
+            (tmp_path / "run.json").write_text(json.dumps(settings))
+            settings = ["--config", tmp_path / "run.json"]
+        out = tmp_path / "out"
+        dataset = ["--dataset-root", pan_fixture, "--difficulty", "easy"]
+        code, _ = run_cli(capsys, command, *dataset, *settings, "--out", out)
+        errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+        assert code == 2
+        assert [r.getMessage() for r in errors] == [message] and errors[0].exc_info is None
+        assert not out.exists()
+
 
 class TestPredictAndEvaluate:
     @pytest.mark.parametrize("doc_freq", [-1, "3"])
@@ -207,6 +232,25 @@ class TestPredictAndEvaluate:
         )
         assert code == 2
         assert "entry 1 out of term order" in caplog.text
+
+    def test_document_count_too_large_for_a_float_is_exit_2(self, capsys, caplog, synth_corpus, trained, tmp_path):
+        payload = json.loads((trained / cli.VOCABULARY_FILENAME).read_text())
+        payload["document_count"] = 10**400
+        vocab = tmp_path / "vocabulary.json"
+        vocab.write_text(json.dumps(payload))
+        code, _ = run_cli(
+            capsys,
+            "predict",
+            "--dataset-root", synth_corpus,
+            "--difficulty", "easy",
+            "--split", "validation",
+            "--model", trained / cli.MODEL_FILENAME,
+            "--vocab", vocab,
+            "--out", tmp_path / "out",
+        )
+        assert code == 2
+        [error] = [r for r in caplog.records if r.levelno >= logging.ERROR]
+        assert error.exc_info is None and f"vocabulary file {vocab} is malformed" in error.getMessage()
 
     def test_nan_margin_is_exit_2_without_predictions(self, capsys, caplog, synth_corpus, trained, tmp_path):
         # Finite weights, so load_model accepts them, whose dot products overflow to NaN.
@@ -312,6 +356,30 @@ class TestPredictAndEvaluate:
             "--out", tmp_path / "out",
         )
         assert code == 2
+
+    @pytest.mark.parametrize("command", ["predict", "random-baseline"])
+    def test_one_paragraph_document_is_scored(self, capsys, pan_fixture, tmp_path, command):
+        """No solution file is written for a document without pairs, and evaluate needs none."""
+        shutil.copytree(pan_fixture / "easy", tmp_path / "data" / "easy")
+        validation = tmp_path / "data" / "easy" / "validation"
+        (validation / "problem-9.txt").write_text("A single paragraph and so no pairs.\n")
+        (validation / "truth-problem-9.json").write_text('{"authors": 1, "changes": []}')
+        dataset = ["--dataset-root", tmp_path / "data", "--difficulty", "easy"]
+        if command == "predict":
+            assert run_cli(capsys, "train", *dataset, "--out", tmp_path / "model")[0] == 0
+            dataset += ["--model", tmp_path / "model" / cli.MODEL_FILENAME]
+        out = tmp_path / "out"
+        assert run_cli(capsys, command, *dataset, "--split", "validation", "--out", out)[0] == 0
+        assert sorted(path.name for path in out.glob("solution-problem-*.json")) == [
+            f"solution-problem-{n}.json" for n in (1, 2, 3)
+        ]
+        reports = []
+        for truth_dir in (validation, pan_fixture / "easy" / "validation"):
+            code, report = run_cli(capsys, "evaluate", out, truth_dir, "--difficulty", "easy")
+            assert code == 0
+            reports.append(json.loads(report)["easy"])
+        with_it, without_it = reports
+        assert with_it == {**without_it, "documents": 4}
 
     def test_predict_rerun_identical(self, capsys, synth_corpus, trained, tmp_path):
         outputs = []
@@ -589,7 +657,7 @@ def test_synthetic_corpus_is_loadable(synth_corpus, capsys):
     assert payload["easy"]["train"]["ones"] > 10
 
 
-MODEL = '{"version": 1, "dimension": 12, "bias": 0.0, "lambda": 0.0001, "weights": []}'
+MODEL = json.dumps({"version": 2, "dimension": 12, "bias": 0.0, "lambda": 0.0001, "weights": [0.0] * 12})
 VOCABULARY = '{"version": 1, "document_count": 1, "terms": [["a", 0, 1]], "stopwords": []}'
 PREDICTION = '{"doc_id": 1, "pair_index": 0, "score": 0.9, "source": "m"}\n'
 

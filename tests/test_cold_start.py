@@ -8,7 +8,9 @@ numpy, which is most of the package's import time.
 
 from __future__ import annotations
 
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -19,6 +21,7 @@ import styleseam
 from styleseam import cli
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+README = SRC.parent / "README.md"
 SEEDS = (1, 2, 3)
 
 
@@ -107,3 +110,19 @@ def test_every_export_resolves():
     assert set(styleseam.__all__) <= set(namespace)
     assert styleseam.featurize is styleseam.features.featurize
     assert not hasattr(styleseam, "no_such_export")
+
+
+def test_readme_library_imports_resolve():
+    """Every name the README's Library example imports from styleseam is exported and resolves."""
+    section = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    example = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    names = [
+        alias.name
+        for node in ast.walk(ast.parse(example))
+        if isinstance(node, ast.ImportFrom) and node.module == "styleseam"
+        for alias in node.names
+    ]
+    assert len(names) > 20
+    assert not set(names) - set(styleseam.__all__)
+    for name in names:
+        assert getattr(styleseam, name) is not None, name

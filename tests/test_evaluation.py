@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 
@@ -96,6 +97,15 @@ class TestMacroF1:
     def test_pair_length_mismatch_listed(self):
         with pytest.raises(CoverageError, match="pair count"):
             macro_f1({1: [0, 1]}, {1: [0]})
+
+    def test_document_without_pairs_needs_no_solution(self):
+        gold, pred = {1: [1, 1, 0, 0], 2: []}, {1: [1, 0, 0, 0]}
+        for per_document in (False, True):
+            entry = macro_f1(gold, pred, per_document)
+            assert entry == dataclasses.replace(macro_f1({1: gold[1]}, pred, per_document), document_count=2)
+            assert macro_f1(gold, {**pred, 2: []}, per_document) == entry
+        with pytest.raises(CoverageError, match=r"pair count mismatch for documents \[2\]"):
+            macro_f1(gold, {**pred, 2: [1]})
 
     def test_relabel_symmetry(self):
         rng = random.Random(23)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import logging
 import math
 import random
 import warnings
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import scalar_features as ref
+from styleseam import cli
 from styleseam.corpus import ParagraphPair
 from styleseam.errors import DataError, FormatError, StyleSeamError, UsageError
 from styleseam.features import PairFeatures
@@ -113,6 +115,9 @@ class TestTrainConfig:
             {"batch_size": 0},
             {"warmup_ratio": 1.5},
             {"l2": 0.0},
+            {"seed": -1},
+            {"peak_lr": math.nan},
+            {"peak_lr": math.inf},
         ],
     )
     def test_invalid(self, kwargs):
@@ -578,19 +583,6 @@ class TestModelSerialization:
         with pytest.raises(FormatError, match=f"unsupported model version {version.title()}"):
             load_model(path)
 
-    def test_negative_index_rejected(self, tmp_path):
-        path = tmp_path / "model.json"
-        path.write_text('{"version": 1, "dimension": 3, "bias": 0, "lambda": 1, "weights": [[-1, 2.0]]}')
-        with pytest.raises(FormatError, match="negative weight index -1"):
-            load_model(path)
-
-    @pytest.mark.parametrize("index", ["1.5", "true", '"0"'])
-    def test_non_integer_index_rejected(self, tmp_path, index):
-        path = tmp_path / "model.json"
-        path.write_text(f'{{"version": 1, "dimension": 3, "bias": 0, "lambda": 1, "weights": [[{index}, 2.0]]}}')
-        with pytest.raises(FormatError, match="non-integer weight index"):
-            load_model(path)
-
     @pytest.mark.parametrize(
         ("field", "value"),
         [
@@ -601,30 +593,43 @@ class TestModelSerialization:
             ("bias", False),
             ("lambda", "0.5"),
             ("lambda", False),
-            ("weights", [[0, "1.5"]]),
-            ("weights", [[0, 10**400]]),
+            ("weights", [1.5, "1.5", 0.0]),
+            ("weights", [10**400, 0.0, 0.0]),
         ],
     )
     def test_mistyped_field_rejected(self, tmp_path, field, value):
-        payload = {"version": 1, "dimension": 3, "bias": 0.5, "lambda": 1e-4, "weights": [[0, 1.5]]}
+        payload = {"version": 2, "dimension": 3, "bias": 0.5, "lambda": 1e-4, "weights": [1.5, 0.0, 0.0]}
         payload[field] = value
         path = tmp_path / "model.json"
         path.write_text(json.dumps(payload))
         with pytest.raises(FormatError, match="model file"):
             load_model(path)
 
-    def test_version_1_file_predicts_as_version_2(self, tmp_path):
-        rng = np.random.default_rng(5)
-        weights = np.where(rng.random(40) < 0.5, 0.0, rng.normal(size=40))
-        model = LinearModel(weights=weights, bias=-0.375, l2=1e-4)
-        save_model(model, tmp_path / "v2.json")
-        entries = [[int(i), float(weights[i])] for i in np.flatnonzero(weights)]
-        v1 = {"version": 1, "dimension": 40, "bias": -0.375, "lambda": 1e-4, "weights": entries}
-        (tmp_path / "v1.json").write_text(json.dumps(v1))
-        old, new = load_model(tmp_path / "v1.json"), load_model(tmp_path / "v2.json")
-        assert old.weights.tobytes() == new.weights.tobytes() == weights.tobytes()
-        features = _dense(rng.normal(size=(30, 40)))
-        assert predict(old, features, _pairs(30)) == predict(new, features, _pairs(30))
+    @pytest.mark.parametrize(
+        ("dimension", "weights"),
+        [
+            pytest.param(4, [[1, 0.5], [3, -2.0]], id="nonzero-weights"),
+            pytest.param(4, [[-1, 2.0]], id="negative-index"),
+            pytest.param(4, [[1.5, 2.0]], id="non-integer-index-1.5"),
+            pytest.param(4, [[True, 2.0]], id="non-integer-index-true"),
+            pytest.param(4, [["0", 2.0]], id="non-integer-index-string"),
+            pytest.param(4, [[0, 1.0], [0, 3.0]], id="duplicate-index"),
+            pytest.param(10**14, [], id="huge-dimension"),
+        ],
+    )
+    def test_version_1_file_rejected(self, capsys, caplog, pan_fixture, tmp_path, dimension, weights):
+        """Format 1 listed the nonzero weights as [index, weight] entries; no such file is read."""
+        payload = {"version": 1, "dimension": dimension, "bias": 0.0, "lambda": 1e-4, "weights": weights}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(FormatError, match="unsupported model version 1 in"):
+            load_model(path)
+        split = ["--dataset-root", str(pan_fixture), "--difficulty", "easy", "--split", "validation"]
+        code = cli.main(["predict", *split, "--model", str(path), "--out", str(tmp_path / "out")])
+        errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+        assert code == 2
+        assert [r.getMessage() for r in errors] == [f"unsupported model version 1 in {path}"]
+        assert errors[0].exc_info is None and "Traceback" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("weights", ["[0.5, 1.5]", '[0.5, 1.5, "2"]', "[0.5, 1.5, true]", "[0.5, 1e400, 2]",
                                          "[0.5, NaN, 2]", '"0.5"', "{}", "[[0, 0.5]]"])
@@ -632,12 +637,4 @@ class TestModelSerialization:
         path = tmp_path / "model.json"
         path.write_text(f'{{"version": 2, "dimension": 3, "bias": 0, "lambda": 1, "weights": {weights}}}')
         with pytest.raises(FormatError, match="model file"):
-            load_model(path)
-
-    def test_duplicate_index_rejected(self, tmp_path):
-        path = tmp_path / "model.json"
-        path.write_text(
-            '{"version": 1, "dimension": 3, "bias": 0, "lambda": 1, "weights": [[0, 1.0], [0, 3.0]]}'
-        )
-        with pytest.raises(FormatError, match="repeats weight index 0"):
             load_model(path)
