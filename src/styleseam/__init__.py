@@ -28,6 +28,7 @@ from .model import (
     save_model,
     save_predictions,
     train_linear_svm,
+    train_split,
     warmup_schedule,
 )
 from .tokenization import (
@@ -90,6 +91,7 @@ __all__ = [
     "split_directory",
     "tokenize",
     "train_linear_svm",
+    "train_split",
     "truncate",
     "truncate_longest_first",
     "truncate_transition",

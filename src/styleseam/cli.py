@@ -112,20 +112,11 @@ def cmd_stats(args: argparse.Namespace) -> int:
     payload: dict[str, dict[str, dict[str, int | None]]] = {}
     for difficulty in _difficulties(args):
         docs, truths = _load_split(args, difficulty, labeled=True)
-        if truths:
-            stats = corpus.compute_stats(corpus.build_pairs(docs, truths), document_count=len(docs))
-            zeros: int | None = stats.zeros_count
-            ones: int | None = stats.ones_count
-            pair_count = stats.pair_count
-            labels = f"zeros {zeros}, ones {ones}"
-        else:
-            zeros = ones = None
-            pair_count = sum(len(d.paragraphs) - 1 for d in docs)
-            labels = "unlabeled"
-        payload[difficulty.value] = {
-            args.split: {"documents": len(docs), "pairs": pair_count, "zeros": zeros, "ones": ones}
-        }
-        print(f"{difficulty}/{args.split}: docs {len(docs)}, pairs {pair_count}, {labels}", file=sys.stderr)
+        stats = corpus.compute_stats(docs, truths or None)  # a split without truth files is unlabeled
+        docs_n, pairs_n, zeros, ones = stats.document_count, stats.pair_count, stats.zeros_count, stats.ones_count
+        payload[difficulty.value] = {args.split: {"documents": docs_n, "pairs": pairs_n, "zeros": zeros, "ones": ones}}
+        labels = "unlabeled" if ones is None else f"zeros {zeros}, ones {ones}"
+        print(f"{difficulty}/{args.split}: docs {docs_n}, pairs {pairs_n}, {labels}", file=sys.stderr)
     print(json.dumps(payload, indent=2))
     return 0
 
@@ -141,34 +132,12 @@ def cmd_train(args: argparse.Namespace) -> int:
     out = _out_dir(args)
 
     docs, truths = _load_split(args, difficulty, labeled=True)
-    pairs = corpus.build_pairs(docs, truths)
-    if not pairs:
-        raise UsageError("selected split yields no paragraph pairs")
-    stopwords = features.load_stopwords(args.stopwords)
-    table = features.ParagraphTable(pairs, truncation)
-    vocab = features.fit_vocabulary(
-        [paragraph for doc in docs for paragraph in doc.paragraphs], stopwords, table
-    )
-    logger.info("fitted vocabulary: %d terms over %d paragraphs", vocab.size, vocab.document_count)
-
-    vectors = table.featurize(vocab)
-    del table  # its scans are not needed once the rows are built
-    labels = [p.label for p in pairs]
-    trained = model_mod.train_linear_svm(vectors, labels, train_config)
-
-    objective = model_mod.hinge_objective(trained, vectors, labels)
-    correct = sum(r.label == label for r, label in zip(model_mod.predict(trained, vectors, pairs), labels))
-    logger.info(
-        "final training objective %.6f, training accuracy %.4f (%d/%d)",
-        objective,
-        correct / len(labels),
-        correct,
-        len(labels),
-    )
-
-    del vectors  # release the rows before writing the artifacts
-    model_mod.save_model(trained, out / MODEL_FILENAME)
-    features.save_vocabulary(vocab, out / VOCABULARY_FILENAME)
+    fit = model_mod.train_split(docs, truths, features.load_stopwords(args.stopwords), truncation, train_config)
+    logger.info("fitted vocabulary: %d terms over %d paragraphs", fit.vocabulary.size, fit.vocabulary.document_count)
+    scores = (fit.objective, fit.correct / fit.pair_count, fit.correct, fit.pair_count)
+    logger.info("final training objective %.6f, training accuracy %.4f (%d/%d)", *scores)
+    model_mod.save_model(fit.model, out / MODEL_FILENAME)
+    features.save_vocabulary(fit.vocabulary, out / VOCABULARY_FILENAME)
     logger.info("wrote %s and %s", out / MODEL_FILENAME, out / VOCABULARY_FILENAME)
     return 0
 
@@ -324,7 +293,10 @@ def _config_values(path: Path, args: argparse.Namespace) -> dict[str, object]:
                 raise UsageError(f"config file {path}: {key} must be one of {list(spec)}, got {value!r}")
         elif isinstance(value, bool) or not isinstance(value, (int, float) if spec is float else spec):
             raise UsageError(f"config file {path}: {key} must be {spec.__name__}, got {value!r}")
-        values[key] = float(value) if spec is float else value
+        try:
+            values[key] = float(value) if spec is float else value
+        except OverflowError:
+            raise UsageError(f"config file {path}: {key} is an integer too large for a float") from None
     return values
 
 

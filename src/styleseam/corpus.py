@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .errors import FormatError, UsageError
 
@@ -82,8 +82,8 @@ class ParagraphPair:
 class SplitStats:
     document_count: int
     pair_count: int
-    zeros_count: int
-    ones_count: int
+    zeros_count: int | None  # None for an unlabeled split
+    ones_count: int | None
 
 
 def split_paragraphs(text: str) -> tuple[str, ...]:
@@ -296,28 +296,13 @@ def build_pairs(
     return pairs
 
 
-def compute_stats(
-    pairs: Iterable[ParagraphPair],
-    document_count: int | None = None,
-) -> SplitStats:
-    """Count pairs and labels; all pairs must be labeled.
+def compute_stats(docs: Sequence[Document], truths: Sequence[TruthRecord] | None = None) -> SplitStats:
+    """Count the documents and pairs of a split and, with `truths`, the pairs of each label.
 
-    `document_count` overrides the count derived from distinct doc ids,
-    which misses documents that produced zero pairs.
+    Without `truths` the label counts are None. With them, a document without
+    a truth record or of the wrong length is a FormatError, as in `build_pairs`.
     """
-    zeros = ones = 0
-    doc_ids = set()
-    for pair in pairs:
-        if pair.label is None:
-            raise UsageError(f"unlabeled pair (doc {pair.doc_id}, index {pair.pair_index})")
-        doc_ids.add(pair.doc_id)
-        if pair.label == 1:
-            ones += 1
-        else:
-            zeros += 1
-    return SplitStats(
-        document_count=len(doc_ids) if document_count is None else document_count,
-        pair_count=zeros + ones,
-        zeros_count=zeros,
-        ones_count=ones,
-    )
+    pairs = build_pairs(docs, truths)
+    ones = None if truths is None else sum(pair.label == 1 for pair in pairs)
+    zeros = None if ones is None else len(pairs) - ones
+    return SplitStats(document_count=len(docs), pair_count=len(pairs), zeros_count=zeros, ones_count=ones)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import re
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -46,18 +47,8 @@ class ScoreEntry:
 def confusion(gold: Sequence[int], pred: Sequence[int], positive: int) -> ConfusionCounts:
     if len(gold) != len(pred):
         raise UsageError(f"gold length {len(gold)} != prediction length {len(pred)}")
-    tp = fp = fn = tn = 0
-    for g, p in zip(gold, pred):
-        if p == positive:
-            if g == positive:
-                tp += 1
-            else:
-                fp += 1
-        elif g == positive:
-            fn += 1
-        else:
-            tn += 1
-    return ConfusionCounts(tp=tp, fp=fp, fn=fn, tn=tn)
+    counts = Counter((g == positive, p == positive) for g, p in zip(gold, pred))  # (gold, predicted) positive
+    return ConfusionCounts(counts[True, True], counts[False, True], counts[True, False], counts[False, False])
 
 
 def f1_per_class(gold: Sequence[int], pred: Sequence[int], positive: int) -> float:

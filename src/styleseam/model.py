@@ -15,15 +15,17 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
-from .corpus import ParagraphPair, is_int, is_number, read_artifact, read_json_lines
+from . import corpus
+from .corpus import Document, ParagraphPair, TruthRecord, is_int, is_number, read_artifact, read_json_lines
 from .errors import DataError, FormatError, UsageError
 
 if TYPE_CHECKING:  # only the linear-SVM functions load numpy, so exchange-format commands start without it
     import numpy as np
 
-    from .features import PairFeatures
+    from .features import PairFeatures, Vocabulary
+    from .tokenization import TruncationConfig
 
 MODEL_FORMAT_VERSION = 2
 
@@ -50,14 +52,13 @@ class TrainConfig:
     l2: float = 1e-4
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.peak_lr) and self.peak_lr > 0):
-            raise UsageError(f"peak_lr must be positive and finite, got {self.peak_lr}")
+        for name, value in (("peak_lr", self.peak_lr), ("l2", self.l2)):
+            if not (math.isfinite(value) and value > 0):
+                raise UsageError(f"{name} must be positive and finite, got {value}")
         if self.epochs < 1 or self.batch_size < 1:
             raise UsageError("epochs and batch_size must be positive integers")
         if not 0.0 <= self.warmup_ratio <= 1.0:
             raise UsageError(f"warmup_ratio must be in [0, 1], got {self.warmup_ratio}")
-        if self.l2 <= 0:
-            raise UsageError(f"l2 must be positive, got {self.l2}")
         if self.seed < 0:
             raise UsageError(f"seed must be a non-negative integer, got {self.seed}")
 
@@ -200,6 +201,39 @@ def train_linear_svm(
             if on_epoch_end is not None:
                 on_epoch_end(epoch, LinearModel(weights=w.copy(), bias=b, l2=cfg.l2))
     return LinearModel(weights=w, bias=b, l2=cfg.l2)
+
+
+class TrainedSplit(NamedTuple):
+    """What `train_split` fits, with its final training objective and accuracy counts."""
+
+    vocabulary: Vocabulary
+    model: LinearModel
+    objective: float
+    correct: int
+    pair_count: int
+
+
+def train_split(
+    docs: Sequence[Document], truths: Sequence[TruthRecord], stopwords: Iterable[str], truncation: TruncationConfig,
+    cfg: TrainConfig,
+) -> TrainedSplit:
+    """Fit the vocabulary and the linear SVM on one labeled split, then score the fit on its own pairs.
+
+    The feature rows live only in this call, so they are freed before the caller writes the artifacts.
+    """
+    from . import features  # loads numpy; calls go through module namespaces, so wrappers installed there see each one
+    pairs = corpus.build_pairs(docs, truths)
+    if not pairs:
+        raise UsageError("selected split yields no paragraph pairs")
+    table = features.ParagraphTable(pairs, truncation)
+    vocab = features.fit_vocabulary([paragraph for doc in docs for paragraph in doc.paragraphs], stopwords, table)
+    vectors = table.featurize(vocab)
+    del table  # its scans are not needed once the rows are built
+    labels = [p.label for p in pairs]
+    trained = train_linear_svm(vectors, labels, cfg)
+    objective = hinge_objective(trained, vectors, labels)
+    correct = sum(r.label == label for r, label in zip(predict(trained, vectors, pairs), labels))
+    return TrainedSplit(vocab, trained, objective, correct, len(labels))
 
 
 def predict(

@@ -91,6 +91,16 @@ class TestStats:
         }
 
 
+    def test_table_line_gives_label_counts_or_unlabeled(self, capsys, pan_fixture, tmp_path):
+        test_dir = tmp_path / "easy" / "test"
+        test_dir.mkdir(parents=True)
+        (test_dir / "problem-1.txt").write_text("A\nB\nC\n", encoding="utf-8")
+        assert cli.main(["stats", "--dataset-root", str(tmp_path), "--difficulty", "easy", "--split", "test"]) == 0
+        assert cli.main(["stats", "--dataset-root", str(pan_fixture), "--difficulty", "easy", "--split", "train"]) == 0
+        lines = [line for line in capsys.readouterr().err.splitlines() if ": docs " in line]
+        assert lines == ["easy/test: docs 1, pairs 2, unlabeled", "easy/train: docs 4, pairs 7, zeros 3, ones 4"]
+
+
 class TestTrain:
     def test_writes_artifacts(self, trained):
         assert (trained / cli.MODEL_FILENAME).is_file()
@@ -154,6 +164,20 @@ class TestTrain:
         errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
         assert code == 2
         assert [r.getMessage() for r in errors] == [message] and errors[0].exc_info is None
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("key", ["peak_lr", "warmup_ratio"])
+    def test_config_integer_too_large_for_a_float_is_exit_2(self, capsys, caplog, pan_fixture, tmp_path, key):
+        config = tmp_path / "run.json"
+        config.write_text(f'{{"{key}": 1{"0" * 400}}}')
+        out = tmp_path / "out"
+        dataset = ["--dataset-root", pan_fixture, "--difficulty", "easy"]
+        code, _ = run_cli(capsys, "train", *dataset, "--config", config, "--out", out)
+        errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+        assert code == 2
+        assert [r.getMessage() for r in errors] == [f"config file {config}: {key} is an integer too large for a float"]
+        assert errors[0].exc_info is None
         assert not out.exists()
 
 

@@ -112,13 +112,16 @@ def test_every_export_resolves():
     assert not hasattr(styleseam, "no_such_export")
 
 
+def _readme_library_example() -> str:
+    section = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
 def test_readme_library_imports_resolve():
     """Every name the README's Library example imports from styleseam is exported and resolves."""
-    section = README.read_text(encoding="utf-8").split("\n## Library\n", 1)[1]
-    example = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     names = [
         alias.name
-        for node in ast.walk(ast.parse(example))
+        for node in ast.walk(ast.parse(_readme_library_example()))
         if isinstance(node, ast.ImportFrom) and node.module == "styleseam"
         for alias in node.names
     ]
@@ -126,3 +129,16 @@ def test_readme_library_imports_resolve():
     assert not set(names) - set(styleseam.__all__)
     for name in names:
         assert getattr(styleseam, name) is not None, name
+
+
+def test_readme_library_example_runs(pan_fixture, tmp_path, monkeypatch):
+    """The README's Library example runs as written, with its data/ paths on the bundled dataset."""
+    example = _readme_library_example()
+    assert example.count('"data/') == 4
+    monkeypatch.chdir(tmp_path)  # the example writes its solutions to ./out
+    namespace: dict[str, object] = {}
+    exec(example.replace('"data/', f'"{pan_fixture.as_posix()}/'), namespace)
+    stats, fit, pairs, entry = (namespace[name] for name in ("stats", "fit", "pairs", "entry"))
+    assert stats.pair_count == fit.pair_count == 7  # easy/train of the bundled dataset
+    assert 0 <= fit.correct <= fit.pair_count
+    assert entry.pair_count == len(pairs) > 0 and 0.0 <= entry.macro_f1 <= 1.0

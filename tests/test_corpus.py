@@ -206,13 +206,24 @@ class TestComputeStats:
     def test_counts_by_inspection(self):
         doc = Document(id=1, difficulty=Difficulty.EASY, paragraphs=("A", "B", "C"))
         truth = TruthRecord(doc_id=1, authors=2, changes=(1, 0))
-        stats = compute_stats(build_pairs([doc], [truth]))
-        assert (stats.pair_count, stats.zeros_count, stats.ones_count) == (2, 1, 1)
+        stats = compute_stats([doc], [truth])
+        assert (stats.document_count, stats.pair_count, stats.zeros_count, stats.ones_count) == (1, 2, 1, 1)
 
-    def test_unlabeled_pair_rejected(self):
-        doc = Document(id=1, difficulty=Difficulty.EASY, paragraphs=("A", "B"))
-        with pytest.raises(UsageError):
-            compute_stats(build_pairs([doc], None))
+    def test_unlabeled_split_has_no_label_counts(self):
+        docs = [
+            Document(id=1, difficulty=Difficulty.EASY, paragraphs=("A", "B", "C")),
+            Document(id=2, difficulty=Difficulty.EASY, paragraphs=("D",)),
+        ]
+        stats = compute_stats(docs)
+        assert (stats.document_count, stats.pair_count, stats.zeros_count, stats.ones_count) == (2, 2, None, None)
+
+    def test_document_without_truth_record_rejected(self):
+        docs = [
+            Document(id=1, difficulty=Difficulty.EASY, paragraphs=("A", "B")),
+            Document(id=2, difficulty=Difficulty.EASY, paragraphs=("C", "D")),
+        ]
+        with pytest.raises(FormatError, match="document 2 has no matching truth record"):
+            compute_stats(docs, [TruthRecord(doc_id=1, authors=1, changes=(0,))])
 
     def test_matches_double_loop_oracle(self):
         rng = random.Random(11)
@@ -236,12 +247,13 @@ class TestComputeStats:
                 expected_pairs += 1
                 expected_ones += truth.changes[i]
 
-        stats = compute_stats(build_pairs(docs, truths), document_count=len(docs))
+        stats = compute_stats(docs, truths)
         assert stats.pair_count == expected_pairs
         assert stats.ones_count == expected_ones
         assert stats.zeros_count == expected_pairs - expected_ones
         assert stats.document_count == len(docs)
         assert stats.zeros_count + stats.ones_count == stats.pair_count
+        assert compute_stats(docs).pair_count == expected_pairs
 
 
 def test_split_directory_layout(tmp_path):

@@ -11,9 +11,9 @@ import pytest
 
 import scalar_features as ref
 from styleseam import cli
-from styleseam.corpus import ParagraphPair
+from styleseam.corpus import Difficulty, Document, ParagraphPair, TruthRecord, build_pairs, load_documents, load_truth
 from styleseam.errors import DataError, FormatError, StyleSeamError, UsageError
-from styleseam.features import PairFeatures
+from styleseam.features import PairFeatures, ParagraphTable, fit_vocabulary, load_stopwords
 from styleseam.model import (
     EnsembleMode,
     LinearModel,
@@ -29,8 +29,10 @@ from styleseam.model import (
     save_model,
     save_predictions,
     train_linear_svm,
+    train_split,
     warmup_schedule,
 )
+from styleseam.tokenization import TruncationConfig, TruncationStrategy
 
 
 def _features(rows: list[dict[int, float]], dimension: int) -> PairFeatures:
@@ -118,6 +120,9 @@ class TestTrainConfig:
             {"seed": -1},
             {"peak_lr": math.nan},
             {"peak_lr": math.inf},
+            {"l2": math.nan},
+            {"l2": math.inf},
+            {"l2": -math.inf},
         ],
     )
     def test_invalid(self, kwargs):
@@ -266,6 +271,42 @@ class TestTrainLinearSvm:
             best = min(best, objective)
 
         assert abs(sgd_objective - best) <= 0.05 * best
+
+
+class TestTrainSplit:
+    @pytest.mark.parametrize(
+        ("strategy", "budget"), [(TruncationStrategy.TRANSITION, 512), (TruncationStrategy.LONGEST_FIRST, 16)]
+    )
+    def test_equals_the_step_by_step_calls(self, synth_corpus, strategy, budget):
+        split = synth_corpus / "easy" / "train"
+        docs = load_documents(split, Difficulty.EASY)
+        truths = load_truth(split, docs)
+        stopwords, truncation, cfg = load_stopwords(), TruncationConfig(budget, strategy), TrainConfig(epochs=2)
+
+        pairs = build_pairs(docs, truths)
+        table = ParagraphTable(pairs, truncation)
+        vocab = fit_vocabulary([p for doc in docs for p in doc.paragraphs], stopwords, table)
+        vectors = table.featurize(vocab)
+        labels = [p.label for p in pairs]
+        model = train_linear_svm(vectors, labels, cfg)
+        objective = hinge_objective(model, vectors, labels)
+        correct = sum(r.label == y for r, y in zip(predict(model, vectors, pairs), labels))
+
+        fit = train_split(docs, truths, stopwords, truncation, cfg)
+        fields = ("index", "doc_freq", "document_count", "stopwords")
+        assert [getattr(fit.vocabulary, f) for f in fields] == [getattr(vocab, f) for f in fields]
+        assert list(fit.vocabulary.index) == list(vocab.index)
+        assert fit.model.weights.tobytes() == model.weights.tobytes()
+        assert (fit.model.bias.hex(), fit.model.l2) == (model.bias.hex(), model.l2)
+        assert fit.objective.hex() == objective.hex()
+        assert (fit.correct, fit.pair_count) == (correct, len(pairs))
+        assert 0 < fit.correct <= fit.pair_count
+
+    def test_split_without_pairs_rejected(self):
+        docs = [Document(id=1, difficulty=Difficulty.EASY, paragraphs=("only one",))]
+        truths = [TruthRecord(doc_id=1, authors=1, changes=())]
+        with pytest.raises(UsageError, match="selected split yields no paragraph pairs"):
+            train_split(docs, truths, frozenset(), TruncationConfig(), TrainConfig())
 
 
 def test_batched_margins_equal_per_row_reduceat_sums():
