@@ -197,6 +197,34 @@ def read_artifact(path: str | Path, what: str, version: int) -> dict:
     return payload
 
 
+WRITE_CHUNK = 4096  # the entries of a streamed list that one json.dumps call spells
+
+
+def list_chunks(size: int) -> Iterator[slice]:
+    """Slices of WRITE_CHUNK positions that cover range(size), in order."""
+    return (slice(at, at + WRITE_CHUNK) for at in range(0, size, WRITE_CHUNK))
+
+
+def write_json(path: str | Path, fields: Mapping[str, object]) -> None:
+    """Write the bytes of `json.dumps(fields)` to `path`; a value that is an iterator of lists is one streamed list.
+
+    json.dumps spells each list of such an iterator, so entries are escaped
+    as in one call, and the whole list never exists as one string.
+    """
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("{")
+        for n, (key, value) in enumerate(fields.items()):
+            handle.write(f"{', ' if n else ''}{json.dumps(key)}: ")
+            if not isinstance(value, Iterator):
+                handle.write(json.dumps(value))
+                continue
+            handle.write("[")
+            for i, chunk in enumerate(chunk for chunk in value if chunk):
+                handle.write(f"{', ' if i else ''}{json.dumps(chunk)[1:-1]}")
+            handle.write("]")
+        handle.write("}")
+
+
 def load_documents(directory: str | Path, difficulty: Difficulty, listing: Listing | None = None) -> list[Document]:
     """Load all problem-<N>.txt files in `directory` (or in its `listing`), ordered by ascending N.
 

@@ -9,7 +9,6 @@ once a vocabulary is fitted.
 
 from __future__ import annotations
 
-import json
 import math
 import re
 from array import array
@@ -18,6 +17,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -27,7 +27,7 @@ import numpy as np
 # truncate_text calls tokenize through the same namespace, so wrappers installed
 # on these attributes (as the tracing benchmark does) see each call.
 from . import tokenization
-from .corpus import ParagraphPair, is_int, read_artifact, read_text
+from .corpus import ParagraphPair, is_int, list_chunks, read_artifact, read_text, write_json
 from .errors import FormatError, UsageError
 from .tokenization import TruncationConfig
 
@@ -41,22 +41,28 @@ VOCABULARY_FORMAT_VERSION = 1
 HANDCRAFTED_WIDTH = 5
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Vocabulary:
-    """Term-to-column mapping with document frequencies.
+    """Terms with their document frequencies, by column.
 
-    Column indices are dense 0..V-1 in lexicographic term order, so a
-    vocabulary fitted twice on the same corpus is identical.
+    Columns are dense 0..V-1 in lexicographic term order, so a vocabulary
+    fitted twice on the same corpus is identical.
     """
 
-    index: dict[str, int]
-    doc_freq: dict[str, int]
+    terms: tuple[str, ...]
+    doc_freq: np.ndarray  # int64, the document frequency of each column's term
     document_count: int
     stopwords: frozenset[str]
 
     @property
     def size(self) -> int:
-        return len(self.index)
+        return len(self.terms)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Vocabulary):
+            return NotImplemented
+        same = (self.terms, self.document_count, self.stopwords) == (other.terms, other.document_count, other.stopwords)
+        return same and np.array_equal(self.doc_freq, other.doc_freq)
 
     @cached_property
     def idf_array(self) -> np.ndarray:
@@ -64,8 +70,7 @@ class Vocabulary:
 
         math.log, not np.log, so the bits are those of the scalar formula.
         """
-        terms = sorted(self.index, key=self.index.__getitem__)
-        return np.array([math.log((1 + self.document_count) / (1 + self.doc_freq[term])) + 1.0 for term in terms])
+        return np.array([math.log((1 + self.document_count) / (1 + df)) + 1.0 for df in self.doc_freq.tolist()])
 
 
 def word_tokens(text: str) -> list[str]:
@@ -101,10 +106,10 @@ def fit_vocabulary(
     if not texts:
         raise UsageError("cannot fit a vocabulary on an empty corpus")
     stop = frozenset(w.lower() for w in stopwords)
-    counted = (table if table is not None else ParagraphTable([])).document_frequencies(texts)
-    doc_freq = {term: df for term, df in counted.items() if term not in stop}
-    index = {term: i for i, term in enumerate(sorted(doc_freq))}
-    return Vocabulary(index=index, doc_freq=doc_freq, document_count=len(texts), stopwords=stop)
+    counted = (table if table is not None else ParagraphTable([])).document_frequencies(texts, stop)
+    terms = tuple(sorted(counted))
+    doc_freq = np.array([counted[term] for term in terms], dtype=np.int64)
+    return Vocabulary(terms=terms, doc_freq=doc_freq, document_count=len(texts), stopwords=stop)
 
 
 @dataclass(eq=False)
@@ -142,8 +147,8 @@ class ParagraphTable:
     space-joined tokens truncation keeps, and each distinct kept text gets
     one row; only the kept end of each side is tokenized, its length known
     from the budget check's counts. Without a truncation config no pair is
-    cut. Scans queue their term ids, and every 65,536 ids are compacted into
-    each row's distinct (id, count) entries.
+    cut. Scans queue their term ids, and every 16,384 ids are compacted into
+    each row's distinct (id, count) entries, stopwords left out.
     """
 
     def __init__(self, pairs: Iterable[ParagraphPair], truncation: TruncationConfig | None = None) -> None:
@@ -157,16 +162,21 @@ class ParagraphTable:
         self._uncut = set(self._sides(cut=False))
         self._rows: dict[str, int] = {}  # side text (a paragraph or a kept text) -> its row
         self._terms = _TermIds()
+        self._stop, self._stopped = frozenset(), np.zeros(0, dtype=bool)  # the stopwords; by term id, is one
         self._ids, self._counts, self._ends, self._surface = array("i"), array("i"), array("q", [0]), array("q")
-        self._tokens, self._scans, self._df = array("i"), [], np.zeros(0)  # queued: term ids, (end, times, row)
+        self._df, self._entries = np.zeros(0), np.zeros(0, dtype=np.int64)  # by term id: df, and row entries
+        self._tokens, self._scans = array("i"), []  # queued: term ids, (end, times, row)
 
     def _sides(self, cut: bool | None = None) -> Iterator[str]:
         """Left and right paragraph of every pair, or of the pairs whose cut flag is `cut`."""
         return (text for p, c in zip(self.pairs, self.cut) if cut in (None, c) for text in (p.left, p.right))
 
-    def document_frequencies(self, texts: Sequence[str]) -> dict[str, int]:
-        """Each term's number of `texts` holding it, each distinct text scanned once and, if an uncut side, kept."""
-        self._df = np.zeros(len(self._terms))
+    def document_frequencies(self, texts: Sequence[str], stopwords: frozenset[str]) -> dict[str, int]:
+        """Each non-stopword term's number of `texts` holding it.
+
+        Each distinct text is scanned once and, if an uncut side, kept.
+        """
+        self._stop, self._df = stopwords, np.zeros(len(self._terms))
         for text, times in Counter(texts).items():
             self._scan(text, times, row=text in self._uncut and text not in self._rows)
         self._compact()
@@ -181,29 +191,47 @@ class ParagraphTable:
             self._rows[text] = len(self._rows)
             hits = text.count  # the handcrafted slots: ?, ., ', () combined, word count
             self._surface.extend((hits("?"), hits("."), hits("'"), hits("(") + hits(")"), len(tokens)))
-        if len(self._tokens) >= 1 << 16:  # so a compaction's arrays stay a few MiB, however long the texts
+        if len(self._tokens) >= 1 << 14:  # so a compaction's arrays stay small, however long the texts
             self._compact()
 
     def _compact(self) -> None:
-        """Sort the queued scans' (scan, id) codes: rows keep the distinct (id, count) entries, all add df."""
+        """Sort the queued scans' (scan, id) codes: rows keep the distinct (id, count) entries, all add df.
+
+        Stopwords are dropped from both; the stopword mask is extended over the new term ids only.
+        """
         if not self._scans:
             return
         ends, times, rows = map(np.array, zip(*self._scans))
         terms = len(self._terms)
+        new = [term in self._stop for term in islice(reversed(self._terms), terms - self._stopped.size)]
+        self._stopped = np.concatenate((self._stopped, np.array(new[::-1], dtype=bool)))
         scans = np.repeat(np.arange(ends.size), np.diff(ends, prepend=0))
         codes = np.sort(scans * terms + np.frombuffer(self._tokens, dtype=np.int32))
         first = np.flatnonzero(np.diff(codes, prepend=-1))
         scans, ids = np.divmod(codes[first], terms)
+        counts = np.diff(first, append=codes.size)
+        counted = ~self._stopped[ids]
+        scans, ids, counts = scans[counted], ids[counted], counts[counted]
         self._df = np.bincount(ids, times[scans], terms) + np.pad(self._df, (0, terms - self._df.size))
         kept = rows[scans]
+        self._entries = np.bincount(ids[kept], minlength=terms) + np.pad(self._entries, (0, terms - self._entries.size))
         self._ids.frombytes(ids[kept].astype(np.int32).tobytes())
-        self._counts.frombytes(np.diff(first, append=codes.size)[kept].astype(np.int32).tobytes())
+        self._counts.frombytes(counts[kept].astype(np.int32).tobytes())
         sizes = np.bincount(scans[kept], minlength=ends.size)[rows]  # the entries of each row
         self._ends.frombytes((self._ends[-1] + np.cumsum(sizes)).tobytes())
         self._tokens, self._scans = array("i"), []
 
     def featurize(self, vocab: Vocabulary) -> PairFeatures:
-        """Every pair's vector under `vocab`, scanning the sides that fitting did not."""
+        """Every pair's vector under `vocab`, scanning the sides that fitting did not.
+
+        The rows are built from the table's entries, which are freed as they
+        are read, so a table featurizes once.
+        """
+        if len(self._ids) < self._ends[-1]:
+            raise UsageError("this table has featurized already; its entries are gone")
+        if self._stopped.size and self._stop != vocab.stopwords:
+            raise UsageError("the vocabulary's stopwords differ from those the table's rows leave out")
+        self._stop = vocab.stopwords
         left, right = [], []
         for pair, cut in zip(self.pairs, self.cut):
             sides = (pair.left, pair.right)
@@ -230,37 +258,42 @@ class ParagraphTable:
 
         A block is the L2-normalized tf-idf weights by column (OOV terms
         ignored), then the nonzero handcrafted counts at V + slot, scaled by
-        1 / (1 + word_count). Chunks of rows keep temporaries small.
+        1 / (1 + word_count). Chunks of rows are built from the last one
+        back, and the table's entries are trimmed behind each, so the CSR and
+        the entries never coexist in full and temporaries stay small.
         """
         self._compact()
-        lookup = np.array([vocab.index.get(term, -1) for term in self._terms], dtype=np.int32)  # term id -> column
-        ids, counts = np.frombuffer(self._ids, dtype=np.int32), np.frombuffer(self._counts, dtype=np.int32)
+        found = np.array([self._terms.get(term, -1) for term in vocab.terms], dtype=np.int64)  # column -> term id
+        lookup = np.full(len(self._terms), -1, dtype=np.int32)  # term id -> column
+        lookup[found[found >= 0]] = np.flatnonzero(found >= 0)
         ends = np.frombuffer(self._ends, dtype=np.int64)
         surface = np.frombuffer(self._surface, dtype=np.int64).reshape(-1, HANDCRAFTED_WIDTH)
         # Length normalization keeps long paragraphs from dominating the margin.
         scaled = surface * (1.0 / (1.0 + surface[:, -1]))[:, None]
-        size = np.count_nonzero(lookup[ids] >= 0) + np.count_nonzero(surface)
-        indptr, indices, values = [0], np.empty(size, dtype=np.int64), np.empty(size)
-        for first in range(0, len(surface), 1024):
-            last = min(first + 1024, len(surface))
-            chunk = slice(ends[first], ends[last])
-            cols = lookup[ids[chunk]]
+        end = int(self._entries[lookup >= 0].sum()) + np.count_nonzero(surface)
+        indices, values = np.empty(end, dtype=np.int32), np.empty(end)
+        row_sizes = np.empty(len(surface), dtype=np.int64)
+        for first in reversed(range(0, len(surface), 256)):
+            last = min(first + 256, len(surface))
+            cols = lookup[np.frombuffer(self._ids[ends[first] :], dtype=np.int32)]
+            counts = np.frombuffer(self._counts[ends[first] :], dtype=np.int32)
+            del self._ids[ends[first] :], self._counts[ends[first] :]
             rows = np.repeat(np.arange(last - first), np.diff(ends[first : last + 1]))
             known = np.flatnonzero(cols >= 0)
             known = known[np.argsort(rows[known] * vocab.size + cols[known])]
-            rows, cols, weights = rows[known], cols[known], counts[chunk][known] * vocab.idf_array[cols[known]]
+            rows, cols, weights = rows[known], cols[known], counts[known] * vocab.idf_array[cols[known]]
             bounds = np.searchsorted(rows, np.arange(last - first + 1)).tolist()
-            for start, end in zip(bounds, bounds[1:]):
-                if end > start:  # one dot per row, as for a lone vector, so the bits match
-                    weights[start:end] /= math.sqrt(float(np.dot(weights[start:end], weights[start:end])))
+            for start, stop in zip(bounds, bounds[1:]):
+                if stop > start:  # one dot per row, as for a lone vector, so the bits match
+                    weights[start:stop] /= math.sqrt(float(np.dot(weights[start:stop], weights[start:stop])))
             surface_rows, slots = np.nonzero(surface[first:last])
             order = np.argsort(np.concatenate((rows, surface_rows)), kind="stable")
-            at = slice(indptr[-1], indptr[-1] + order.size)
+            at = slice(end - order.size, end)
             indices[at] = np.concatenate((cols, vocab.size + slots))[order]
             values[at] = np.concatenate((weights, scaled[first:last][surface_rows, slots]))[order]
-            row_sizes = np.diff(bounds) + np.count_nonzero(surface[first:last], axis=1)
-            indptr.extend((indptr[-1] + np.cumsum(row_sizes)).tolist())
-        return indptr, indices, values
+            row_sizes[first:last] = np.diff(bounds) + np.count_nonzero(surface[first:last], axis=1)
+            end -= order.size
+        return [0, *np.cumsum(row_sizes).tolist()], indices, values
 
 
 def pair_features(pair: ParagraphPair, vocab: Vocabulary) -> PairFeatures:
@@ -285,14 +318,15 @@ def featurize(pairs: Iterable[ParagraphPair], vocab: Vocabulary, truncation: Tru
 
 
 def save_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
-    """Serialize to versioned JSON so train and predict share one vocabulary."""
-    payload = {
+    """Serialize to versioned JSON so train and predict share one vocabulary; the terms are written by chunk."""
+    columns = range(vocab.size)
+    entries = (list(zip(vocab.terms[at], columns[at], vocab.doc_freq[at].tolist())) for at in list_chunks(vocab.size))
+    write_json(path, {
         "version": VOCABULARY_FORMAT_VERSION,
         "document_count": vocab.document_count,
-        "terms": [[term, vocab.index[term], vocab.doc_freq[term]] for term in sorted(vocab.index)],
+        "terms": entries,
         "stopwords": sorted(vocab.stopwords),
-    }
-    Path(path).write_text(json.dumps(payload), encoding="utf-8")
+    })
 
 
 def load_vocabulary(path: str | Path) -> Vocabulary:
@@ -308,8 +342,8 @@ def load_vocabulary(path: str | Path) -> Vocabulary:
                 raise FormatError(f"vocabulary file {path} has entry {position} out of term order or non-dense")
         if not isinstance(stopwords, list) or not all(isinstance(word, str) for word in stopwords):
             raise FormatError(f"vocabulary file {path} has stopwords that are not a list of strings")
-        index, doc_freq = {term: col for term, col, _ in terms}, {term: df for term, _, df in terms}
-        vocab = Vocabulary(index=index, doc_freq=doc_freq, document_count=count, stopwords=frozenset(stopwords))
+        doc_freq = np.array([df for _, _, df in terms], dtype=np.int64)
+        vocab = Vocabulary(tuple(term for term, _, _ in terms), doc_freq, count, frozenset(stopwords))
         vocab.idf_array  # computed here, so a document_count too large for a float is a FormatError
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"vocabulary file {path} is malformed: {exc}") from exc

@@ -121,8 +121,8 @@ def _margins(model: LinearModel, features: PairFeatures) -> np.ndarray:
     import numpy as np
     ptr, half = np.asarray(features.indptr), features.dimension // 2
     sums = np.zeros((2, ptr.size - 1))
-    for first in range(0, ptr.size - 1, 1024):
-        starts = ptr[first : first + 1025] - ptr[first]
+    for first in range(0, ptr.size - 1, 256):
+        starts = ptr[first : first + 257] - ptr[first]
         rows = np.flatnonzero(starts[1:] > starts[:-1])  # an empty row keeps 0: reduceat would give it an entry
         entries = slice(ptr[first], ptr[first] + starts[-1])
         for side, w in enumerate((model.weights[:half], model.weights[half:]) if rows.size else ()):
@@ -135,10 +135,27 @@ def hinge_objective(model: LinearModel, features: PairFeatures, labels: Sequence
     """Full-batch regularized objective: 0.5*l2*||w||^2 + mean hinge loss, summed in pair order."""
     import numpy as np
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing model gives inf or NaN, not warnings
+        return _objective(model, _margins(model, features), labels)
+
+
+def _objective(model: LinearModel, margins: np.ndarray, labels: Sequence[int]) -> float:
+    """`hinge_objective` from the pairs' margins."""
+    import numpy as np
+    with np.errstate(over="ignore", invalid="ignore"):
         y = np.where(np.asarray(labels) == 1, 1.0, -1.0)
-        losses = np.fmax(0.0, 1.0 - y * _margins(model, features))  # fmax: a NaN margin adds no loss
+        losses = np.fmax(0.0, 1.0 - y * margins)  # fmax: a NaN margin adds no loss
         penalty = 0.5 * model.l2 * float(model.weights @ model.weights)
     return penalty + float(np.cumsum(losses)[-1]) / len(labels)
+
+
+def _scored_margins(model: LinearModel, features: PairFeatures) -> np.ndarray:
+    """The margins of every pair, which `predict` scores; a NaN margin is a DataError."""
+    import numpy as np
+    with np.errstate(over="ignore", invalid="ignore"):  # a NaN margin is reported below, not warned about
+        margins = _margins(model, features)
+    if np.isnan(margins).any():
+        raise DataError("prediction margin is NaN: the model weights overflow or are not finite")
+    return margins
 
 
 def train_linear_svm(
@@ -187,7 +204,8 @@ def train_linear_svm(
                 rate = lr / len(batch)
                 for i in batch:
                     a, z, c, d = ptr[left[i]], ptr[left[i] + 1], ptr[right[i]], ptr[right[i] + 1]
-                    li, lv, ri, rv = idx[a:z], val[a:z], idx[c:d], val[c:d]
+                    # intp: numpy gathers and scatters with int32 indices several times slower
+                    li, lv, ri, rv = idx[a:z].astype(np.intp), val[a:z], idx[c:d].astype(np.intp), val[c:d]
                     wl, wr = w_left[li], w_right[ri]
                     if y[i] * (scale * (float(wl.dot(lv)) + float(wr.dot(rv))) + b) < 1.0:
                         update = rate * y[i] / scale
@@ -220,6 +238,8 @@ def train_split(
     """Fit the vocabulary and the linear SVM on one labeled split, then score the fit on its own pairs.
 
     The feature rows live only in this call, so they are freed before the caller writes the artifacts.
+    The objective and the accuracy, which `hinge_objective` and `predict` would give, come from one
+    margins pass.
     """
     from . import features  # loads numpy; calls go through module namespaces, so wrappers installed there see each one
     pairs = corpus.build_pairs(docs, truths)
@@ -231,25 +251,20 @@ def train_split(
     del table  # its scans are not needed once the rows are built
     labels = [p.label for p in pairs]
     trained = train_linear_svm(vectors, labels, cfg)
-    objective = hinge_objective(trained, vectors, labels)
-    correct = sum(r.label == label for r, label in zip(predict(trained, vectors, pairs), labels))
-    return TrainedSplit(vocab, trained, objective, correct, len(labels))
+    margins = _scored_margins(trained, vectors)
+    correct = sum(_label(_sigmoid(margin)) == label for margin, label in zip(margins.tolist(), labels))
+    return TrainedSplit(vocab, trained, _objective(trained, margins, labels), correct, len(labels))
 
 
 def predict(
     model: LinearModel, features: PairFeatures, pairs: Sequence[ParagraphPair], source: str = "tfidf-svc"
 ) -> list[PredictionRecord]:
     """Score every pair of `features`, which are the vectors of `pairs`; label 1 iff sigmoid(margin) >= 0.5."""
-    import numpy as np
     if features.dimension != model.dimension:
         raise UsageError(f"feature dimension {features.dimension} does not match model {model.dimension}")
     if len(features) != len(pairs):
         raise UsageError(f"{len(features)} feature vectors vs {len(pairs)} pairs")
-    with np.errstate(over="ignore", invalid="ignore"):  # a NaN margin is reported below, not warned about
-        margins = _margins(model, features)
-    if np.isnan(margins).any():
-        raise DataError("prediction margin is NaN: the model weights overflow or are not finite")
-    scores = map(_sigmoid, margins.tolist())
+    scores = map(_sigmoid, _scored_margins(model, features).tolist())
     return [PredictionRecord(p.doc_id, p.pair_index, score, _label(score), source) for p, score in zip(pairs, scores)]
 
 
@@ -345,9 +360,15 @@ def ensemble(
 
 
 def save_model(model: LinearModel, path: str | Path) -> None:
-    """Serialize to versioned JSON, the weights as one dense list of `dimension` floats."""
-    payload = {"version": MODEL_FORMAT_VERSION, "dimension": model.dimension, "bias": model.bias, "lambda": model.l2}
-    Path(path).write_text(json.dumps({**payload, "weights": model.weights.tolist()}), encoding="utf-8")
+    """Serialize to versioned JSON, the weights as one dense list of `dimension` floats, written by chunk."""
+    w = model.weights
+    corpus.write_json(path, {
+        "version": MODEL_FORMAT_VERSION,
+        "dimension": model.dimension,
+        "bias": model.bias,
+        "lambda": model.l2,
+        "weights": (w[at].tolist() for at in corpus.list_chunks(w.size)),
+    })
 
 
 def load_model(path: str | Path) -> LinearModel:

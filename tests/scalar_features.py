@@ -66,22 +66,21 @@ def densify(vec: Vector) -> np.ndarray:
 
 
 def tfidf_vector(text: str, vocab: Vocabulary) -> Vector:
+    columns = {term: col for col, term in enumerate(vocab.terms)}
     counts: dict[int, int] = {}
-    terms: dict[int, str] = {}
     for term in word_tokens(text):
-        col = vocab.index.get(term)
+        col = columns.get(term)
         if col is not None:
             counts[col] = counts.get(col, 0) + 1
-            terms[col] = term
     if not counts:
         return Vector(
-            indices=np.empty(0, dtype=np.int64),
+            indices=np.empty(0, dtype=np.int32),
             values=np.empty(0, dtype=np.float64),
             dimension=vocab.size,
         )
-    cols = np.array(sorted(counts), dtype=np.int64)
+    cols = np.array(sorted(counts), dtype=np.int32)
     # Smoothed idf: finite and positive even when df == N.
-    idf = {c: math.log((1 + vocab.document_count) / (1 + vocab.doc_freq[terms[c]])) + 1.0 for c in cols}
+    idf = {c: math.log((1 + vocab.document_count) / (1 + int(vocab.doc_freq[c]))) + 1.0 for c in cols}
     weights = np.array([counts[c] * idf[c] for c in cols], dtype=np.float64)
     weights /= math.sqrt(float(np.dot(weights, weights)))
     return Vector(indices=cols, values=weights, dimension=vocab.size)
@@ -115,7 +114,7 @@ def pair_features(pair: ParagraphPair, vocab: Vocabulary) -> Vector:
     left_idx, left_val = _side_block(pair.left, vocab, 0)
     right_idx, right_val = _side_block(pair.right, vocab, block)
     return Vector(
-        indices=np.array(left_idx + right_idx, dtype=np.int64),
+        indices=np.array(left_idx + right_idx, dtype=np.int32),
         values=np.array(left_val + right_val, dtype=np.float64),
         dimension=2 * block,
     )

@@ -36,25 +36,41 @@ def _pair_vector(pair: ParagraphPair, vocab: Vocabulary) -> Vector:
     return vec
 
 
+def _doc_freq(vocab: Vocabulary) -> dict[str, int]:
+    """Each term's document frequency, from the vocabulary's by-column arrays."""
+    return dict(zip(vocab.terms, vocab.doc_freq.tolist()))
+
+
 class TestFitVocabulary:
     def test_stopwords_excluded_and_indices_sorted(self):
         vocab = fit_vocabulary(["the cat", "the dog"], {"the"})
-        assert vocab.index == {"cat": 0, "dog": 1}
-        assert vocab.doc_freq == {"cat": 1, "dog": 1}
+        assert vocab.terms == ("cat", "dog")
+        assert vocab.doc_freq.dtype == np.int64 and vocab.doc_freq.tolist() == [1, 1]
         assert vocab.document_count == 2
 
     def test_df_is_document_frequency(self):
         vocab = fit_vocabulary(["a a b"], set())
-        assert vocab.doc_freq["a"] == 1
+        assert _doc_freq(vocab)["a"] == 1
 
     def test_repeated_text_counts_each_occurrence(self):
         vocab = fit_vocabulary(["cat dog", "cat dog", "cat"], set())
-        assert vocab.doc_freq == {"cat": 3, "dog": 2}
+        assert _doc_freq(vocab) == {"cat": 3, "dog": 2}
         assert vocab.document_count == 3
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(UsageError):
             fit_vocabulary([], set())
+
+    def test_a_table_featurizes_once_under_the_stopwords_its_rows_left_out(self):
+        pair = ParagraphPair(doc_id=0, pair_index=0, left="the cat sat", right="a dog ran")
+        table = ParagraphTable([pair])
+        vocab = fit_vocabulary([pair.left, pair.right], {"the"}, table)
+        with pytest.raises(UsageError, match="stopwords differ"):
+            table.featurize(fit_vocabulary([pair.left, pair.right], set()))
+        [vec] = vectors(table.featurize(vocab))
+        assert self._same(vec, _pair_vector(pair, vocab))
+        with pytest.raises(UsageError, match="featurized already"):
+            table.featurize(vocab)
 
     def test_compactions_across_rows_and_other_texts(self):
         """More texts than one compaction holds; uncut sides become rows, the other texts only count."""
@@ -68,7 +84,7 @@ class TestFitVocabulary:
         expected: Counter[str] = Counter()
         for text in texts:
             expected.update(set(text.split()) - {"w0"})
-        assert vocab.doc_freq == dict(expected)
+        assert _doc_freq(vocab) == dict(expected)
         assert vocab == fit_vocabulary(texts, {"w0"})
         features = table.featurize(vocab)
         for pair, vec in zip(pairs, vectors(features)):
@@ -94,14 +110,14 @@ class TestFitVocabulary:
                     continue
                 counted.append(token)
                 expected[token] = expected.get(token, 0) + 1
-        assert vocab.doc_freq == expected
-        assert list(vocab.index) == sorted(expected)
+        assert _doc_freq(vocab) == expected
+        assert list(vocab.terms) == sorted(expected)
 
     def test_permutation_invariant(self):
         texts = ["alpha beta", "beta gamma", "gamma alpha alpha"]
         shuffled = list(texts)
         random.Random(5).shuffle(shuffled)
-        assert fit_vocabulary(texts, set()).doc_freq == fit_vocabulary(shuffled, set()).doc_freq
+        assert fit_vocabulary(texts, set()) == fit_vocabulary(shuffled, set())
 
 
 ascii_text = st.text(alphabet=st.characters(max_codepoint=127))

@@ -55,7 +55,7 @@ def _vocabulary():
 
 def _assert_same_vector(actual: ref.Vector, expected: ref.Vector) -> None:
     assert actual.dimension == expected.dimension
-    assert actual.indices.dtype == expected.indices.dtype
+    assert actual.indices.dtype == expected.indices.dtype == np.int32
     assert actual.values.dtype == expected.values.dtype
     assert actual.indices.tobytes() == expected.indices.tobytes()
     assert actual.values.tobytes() == expected.values.tobytes()

@@ -4,12 +4,14 @@ import json
 import logging
 import math
 import random
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 import scalar_features as ref
+from synthdata import generate_corpus
 from styleseam import cli
 from styleseam.corpus import Difficulty, Document, ParagraphPair, TruthRecord, build_pairs, load_documents, load_truth
 from styleseam.errors import DataError, FormatError, StyleSeamError, UsageError
@@ -50,7 +52,7 @@ def _features(rows: list[dict[int, float]], dimension: int) -> PairFeatures:
             indptr.append(len(indices))
     sides = list(range(2 * len(rows)))
     return PairFeatures(
-        indptr, np.array(indices, dtype=np.int64), np.array(values, dtype=np.float64), sides[::2], sides[1::2], 2 * half
+        indptr, np.array(indices, dtype=np.int32), np.array(values, dtype=np.float64), sides[::2], sides[1::2], 2 * half
     )
 
 
@@ -293,14 +295,38 @@ class TestTrainSplit:
         correct = sum(r.label == y for r, y in zip(predict(model, vectors, pairs), labels))
 
         fit = train_split(docs, truths, stopwords, truncation, cfg)
-        fields = ("index", "doc_freq", "document_count", "stopwords")
+        fields = ("terms", "document_count", "stopwords")
         assert [getattr(fit.vocabulary, f) for f in fields] == [getattr(vocab, f) for f in fields]
-        assert list(fit.vocabulary.index) == list(vocab.index)
+        assert fit.vocabulary.doc_freq.tobytes() == vocab.doc_freq.tobytes()
         assert fit.model.weights.tobytes() == model.weights.tobytes()
         assert (fit.model.bias.hex(), fit.model.l2) == (model.bias.hex(), model.l2)
         assert fit.objective.hex() == objective.hex()
         assert (fit.correct, fit.pair_count) == (correct, len(pairs))
         assert 0 < fit.correct <= fit.pair_count
+
+    # tracemalloc's peak of train_split over the bytes of the CSR it trains on: 3.76 measured on a
+    # 600-document corpus (Python 3.11, numpy 2.4), plus a margin. The table's int32 entries, small
+    # compactions and row chunks and the single margins pass keep it there; with int64 column indices,
+    # 65,536-id compactions, 1,024-row chunks and separate objective and accuracy passes it read 4.95.
+    PEAK_PER_CSR_BYTE = 4.2
+
+    def test_peak_memory_is_bounded_by_the_rows(self, tmp_path):
+        root = generate_corpus(tmp_path, n_train=600, n_validation=0, seed=91)
+        docs = load_documents(root / "easy" / "train", Difficulty.EASY)
+        truths = load_truth(root / "easy" / "train", docs)
+        stopwords, truncation, cfg = load_stopwords(), TruncationConfig(), TrainConfig(epochs=1)
+        table = ParagraphTable(build_pairs(docs, truths), truncation)
+        rows = table.featurize(fit_vocabulary([p for doc in docs for p in doc.paragraphs], stopwords, table))
+        del table
+        np.random.default_rng  # numpy.random loads on first use; its modules are not the split's memory
+        tracemalloc.start()
+        try:
+            train_split(docs, truths, stopwords, truncation, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= self.PEAK_PER_CSR_BYTE * (rows.indices.nbytes + rows.values.nbytes)
+        assert rows.indices.dtype == np.int32
 
     def test_split_without_pairs_rejected(self):
         docs = [Document(id=1, difficulty=Difficulty.EASY, paragraphs=("only one",))]
