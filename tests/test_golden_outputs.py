@@ -2,6 +2,8 @@
 
 The digests were taken from the pipeline before featurization moved to a
 paragraph table; any change to how features are computed must keep them.
+The non-ASCII corpus's digests were taken before train and predict streamed
+their documents and cut a truncated side's row out of its paragraph's scan.
 `model.json` and `predictions.ndjson` are not pinned: their last bits depend
 on the CPU's BLAS dot kernel.
 """
@@ -10,10 +12,13 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import random
+from pathlib import Path
 
 import pytest
 
 from styleseam import cli
+from synthdata import generate_corpus
 
 # (strategy, budget) -> (vocabulary.json, solution files, report.json, objective line)
 EXPECTED = {
@@ -42,32 +47,85 @@ def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+# Non-ASCII words the non-ASCII corpus inserts: a sigma before punctuation lowercases to a final
+# sigma once truncation joins its kept tokens with spaces, and "İ" lowercases to two characters.
+NON_ASCII_WORDS = ["ΑΣ.Β", "ΟΔΟΣ.", "(ΣΑΣ)", "İstanbul", "İ", "naïve", "Straße", "ΌΣΟΣ?", "café's", "東京"]
+
+NON_ASCII_EXPECTED = {
+    ("longest_first", 16): (
+        "3a5cd728737ae5a08a2ec434e45751741621275e89e9c60e89202355b3eacbe9",
+        "c5f9cf053aca7322f6af30f5cc3b16a26c83e8223061bf574db4c120730c677f",
+        "98ff33c520827b8457dbcb9a8670da81fa2aaa25d37787f2671af74567c833d1",
+        "final training objective 0.254027, training accuracy 0.9233 (265/287)",
+    ),
+    ("transition", 9): (
+        "3a5cd728737ae5a08a2ec434e45751741621275e89e9c60e89202355b3eacbe9",
+        "675d8b757820bbe44b6fc3d2378e62cff3505e79b38fee7732d89b8cc4bcd028",
+        "c052968a5435237496c075b1ecf4548ce193ae99ea8ff004a8cb3bf2e75aa4c6",
+        "final training objective 0.386790, training accuracy 0.8920 (256/287)",
+    ),
+    ("transition", 512): (
+        "3a5cd728737ae5a08a2ec434e45751741621275e89e9c60e89202355b3eacbe9",
+        "b19a3e223d5f89eae8ff0161d77ffae39af241a148259ac67cd69d995ce1f01c",
+        "de4547736df6ba8ecae3f1d6a6f848fc7ee69b2624374fcef1d6591504488c30",
+        "final training objective 0.156680, training accuracy 0.9547 (274/287)",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def non_ascii_corpus(tmp_path_factory) -> Path:
+    """The synthetic corpus (seed 53) with a non-ASCII word put into about half its paragraphs."""
+    root = generate_corpus(tmp_path_factory.mktemp("non_ascii"), n_train=100, n_validation=40, seed=53)
+    rng = random.Random(53)
+    for path in sorted(root.glob("easy/*/problem-*.txt"), key=lambda path: (path.parent.name, path.name)):
+        paragraphs = path.read_text(encoding="utf-8").splitlines()
+        for i, paragraph in enumerate(paragraphs):
+            if rng.random() < 0.5:
+                words = paragraph.split(" ")
+                words.insert(rng.randrange(len(words) + 1), rng.choice(NON_ASCII_WORDS))
+                paragraphs[i] = " ".join(words)
+        path.write_text("\n".join(paragraphs) + "\n", encoding="utf-8")
+    return root
+
+
 @pytest.mark.parametrize(("strategy", "budget"), list(EXPECTED))
 def test_outputs_match_recorded_digests(synth_corpus, tmp_path, caplog, capsys, strategy, budget):
-    data = ["--dataset-root", str(synth_corpus), "--difficulty", "easy"]
+    assert _outputs(synth_corpus, 50, tmp_path, caplog, capsys, strategy, budget) == EXPECTED[(strategy, budget)]
+
+
+@pytest.mark.parametrize(("strategy", "budget"), list(NON_ASCII_EXPECTED))
+def test_non_ascii_outputs_match_recorded_digests(non_ascii_corpus, tmp_path, caplog, capsys, strategy, budget):
+    """Cut pairs with non-ASCII sides, at budgets that cut nearly every pair, and uncut at 512."""
+    actual = _outputs(non_ascii_corpus, 40, tmp_path, caplog, capsys, strategy, budget, ["--epochs", "20"])
+    assert actual == NON_ASCII_EXPECTED[(strategy, budget)]
+
+
+def _outputs(root, documents, tmp_path, caplog, capsys, strategy, budget, flags=()) -> tuple[str, str, str, str]:
+    """Digests of vocabulary.json, the solution files and report.json, and train's objective line."""
+    data = ["--dataset-root", str(root), "--difficulty", "easy"]
     truncation = ["--strategy", strategy, "--budget", str(budget)]
     model_dir, pred_dir = tmp_path / "model", tmp_path / "pred"
     with caplog.at_level(logging.INFO, logger="styleseam"):
-        assert cli.main(["train", *data, *truncation, "--out", str(model_dir)]) == 0
+        assert cli.main(["train", *data, *truncation, *flags, "--out", str(model_dir)]) == 0
     messages = [record.getMessage() for record in caplog.records]
     [objective] = [m for m in messages if m.startswith("final training objective")]
     assert cli.main(
         ["predict", *data, "--split", "validation", *truncation,
          "--model", str(model_dir / cli.MODEL_FILENAME), "--out", str(pred_dir)]
     ) == 0
-    truth_dir = synth_corpus / "easy" / "validation"
+    truth_dir = root / "easy" / "validation"
     evaluate = ["evaluate", str(pred_dir), str(truth_dir), "--difficulty", "easy", "--out", str(pred_dir)]
     assert cli.main(evaluate) == 0
     capsys.readouterr()
 
     solutions = sorted(pred_dir.glob("solution-problem-*.json"))
-    assert len(solutions) == 50
+    assert len(solutions) == documents
     # One digest over every solution file's name and sha256.
     manifest = "".join(f"{path.name} {_sha256(path.read_bytes())}\n" for path in solutions)
-    actual = (
+    return (
         _sha256((model_dir / cli.VOCABULARY_FILENAME).read_bytes()),
         _sha256(manifest.encode()),
         _sha256((pred_dir / cli.REPORT_FILENAME).read_bytes()),
         objective,
     )
-    assert actual == EXPECTED[(strategy, budget)]
