@@ -84,20 +84,17 @@ def _train_config(args: argparse.Namespace) -> TrainConfig:
     return TrainConfig(**_given(args, "peak_lr", "epochs", "batch_size", "warmup_ratio", "seed"))
 
 
-def _load_split(
-    args: argparse.Namespace, difficulty: Difficulty, labeled: bool
-) -> tuple[list[corpus.Document], list[corpus.TruthRecord] | None]:
-    """Documents of one split, plus its truth records if `labeled`; an empty split is an error."""
+def _split(args: argparse.Namespace, difficulty: Difficulty) -> tuple[Path, corpus.Listing]:
+    """The directory of one split and its listing; a split without problem files is an error."""
     if args.dataset_root is None:
         raise UsageError(f"no dataset root given; pass --dataset-root or set {DATASET_ENV_VAR}")
     if not args.dataset_root.is_dir():
         raise FileNotFoundError(f"dataset root not found: {args.dataset_root}")
     directory = corpus.split_directory(args.dataset_root, difficulty, args.split)
     listing = corpus.list_split(directory)
-    docs = corpus.load_documents(directory, difficulty, listing)
-    if not docs:
+    if not listing[0]:
         raise UsageError(f"no documents found in {directory}")
-    return docs, corpus.load_truth(directory, docs, listing) if labeled else None
+    return directory, listing
 
 
 def _write_predictions(records: list[model_mod.PredictionRecord], out: Path) -> int:
@@ -111,8 +108,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
     """Per-split document/pair/label counts as JSON (stdout) and a table (stderr)."""
     payload: dict[str, dict[str, dict[str, int | None]]] = {}
     for difficulty in _difficulties(args):
-        docs, truths = _load_split(args, difficulty, labeled=True)
-        stats = corpus.compute_stats(docs, truths or None)  # a split without truth files is unlabeled
+        directory, listing = _split(args, difficulty)
+        docs = corpus.load_documents(directory, difficulty, listing)
+        stats = corpus.compute_stats(docs, corpus.load_truth(directory, docs, listing) or None)  # none: unlabeled
         docs_n, pairs_n, zeros, ones = stats.document_count, stats.pair_count, stats.zeros_count, stats.ones_count
         payload[difficulty.value] = {args.split: {"documents": docs_n, "pairs": pairs_n, "zeros": zeros, "ones": ones}}
         labels = "unlabeled" if ones is None else f"zeros {zeros}, ones {ones}"
@@ -131,7 +129,9 @@ def cmd_train(args: argparse.Namespace) -> int:
     difficulty = _single_difficulty(args)
     out = _out_dir(args)
 
-    docs, truths = _load_split(args, difficulty, labeled=True)
+    directory, listing = _split(args, difficulty)
+    truths = corpus.load_truth(directory, (), listing)  # no documents: each one's length is checked as it streams
+    docs = corpus.iter_documents(directory, difficulty, listing)
     fit = model_mod.train_split(docs, truths, features.load_stopwords(args.stopwords), truncation, train_config)
     logger.info("fitted vocabulary: %d terms over %d paragraphs", fit.vocabulary.size, fit.vocabulary.document_count)
     scores = (fit.objective, fit.correct / fit.pair_count, fit.correct, fit.pair_count)
@@ -152,9 +152,8 @@ def cmd_predict(args: argparse.Namespace) -> int:
     trained = model_mod.load_model(args.model)
     vocab = features.load_vocabulary(args.vocab or args.model.parent / VOCABULARY_FILENAME)
 
-    docs, _ = _load_split(args, difficulty, labeled=False)
-    pairs = corpus.build_pairs(docs, None)
-    records = model_mod.predict(trained, features.featurize(pairs, vocab, truncation), pairs)
+    directory, listing = _split(args, difficulty)
+    records = model_mod.predict_split(trained, vocab, corpus.iter_documents(directory, difficulty, listing), truncation)
     return _write_predictions(records, out)
 
 
@@ -163,8 +162,8 @@ def cmd_random_baseline(args: argparse.Namespace) -> int:
     seed = _train_config(args).seed
     difficulty = _single_difficulty(args)
     out = _out_dir(args)
-    docs, _ = _load_split(args, difficulty, labeled=False)
-    records = model_mod.random_baseline(corpus.build_pairs(docs, None), seed)
+    directory, listing = _split(args, difficulty)
+    records = model_mod.random_baseline(corpus.build_pairs(corpus.load_documents(directory, difficulty, listing)), seed)
     return _write_predictions(records, out)
 
 

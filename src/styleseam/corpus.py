@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import FormatError, UsageError
 
@@ -77,6 +77,8 @@ class ParagraphPair:
     right: str
     label: int | None = None
 
+
+PairKey = NamedTuple("PairKey", [("doc_id", int), ("pair_index", int)])  # a pair without its text
 
 @dataclass(frozen=True)
 class SplitStats:
@@ -225,21 +227,21 @@ def write_json(path: str | Path, fields: Mapping[str, object]) -> None:
         handle.write("}")
 
 
-def load_documents(directory: str | Path, difficulty: Difficulty, listing: Listing | None = None) -> list[Document]:
-    """Load all problem-<N>.txt files in `directory` (or in its `listing`), ordered by ascending N.
-
-    Raises FormatError for undecodable or paragraph-free files; OSError
-    propagates for unreadable files.
-    """
+def iter_documents(directory: str | Path, difficulty: Difficulty, listing: Listing | None = None) -> Iterator[Document]:
+    """Read the problem-<N>.txt files in `directory` (or in its `listing`) by ascending N, each when asked for;
+    undecodable or paragraph-free files are a FormatError, and OSError propagates for unreadable ones."""
     problems, _ = listing or list_split(directory)
-    documents = []
     for doc_id in sorted(problems):
-        path = problems[doc_id]
-        paragraphs = split_paragraphs(read_text(path))
+        paragraphs = split_paragraphs(read_text(problems[doc_id]))
         if not paragraphs:
-            raise FormatError(f"{path} contains no nonempty paragraphs")
-        documents.append(Document(id=doc_id, difficulty=difficulty, paragraphs=paragraphs))
-    return documents
+            raise FormatError(f"{problems[doc_id]} contains no nonempty paragraphs")
+        yield Document(id=doc_id, difficulty=difficulty, paragraphs=paragraphs)
+        del paragraphs  # before the next file is read
+
+
+def load_documents(directory: str | Path, difficulty: Difficulty, listing: Listing | None = None) -> list[Document]:
+    """All the documents `iter_documents` reads, in a list."""
+    return list(iter_documents(directory, difficulty, listing))
 
 
 def _parse_truth(path: Path, doc_id: int) -> TruthRecord:
@@ -271,20 +273,33 @@ def load_truth(
         record = _parse_truth(truth_files[doc_id], doc_id)
         if documents is None and doc_id in problems:
             paragraph_counts[doc_id] = len(split_paragraphs(read_text(problems[doc_id])))
-        n_paragraphs = paragraph_counts.get(doc_id)
-        if n_paragraphs is not None and len(record.changes) != n_paragraphs - 1:
-            raise FormatError(
-                f"document {doc_id}: {len(record.changes)} changes for "
-                f"{n_paragraphs} paragraphs (expected {n_paragraphs - 1})"
-            )
+        if doc_id in paragraph_counts:
+            _check_length(record, paragraph_counts[doc_id])
         records.append(record)
     return records
 
 
-def build_pairs(
-    docs: Sequence[Document],
-    truths: Sequence[TruthRecord] | None = None,
-) -> list[ParagraphPair]:
+def _check_length(truth: TruthRecord, n_paragraphs: int) -> None:
+    if len(truth.changes) != n_paragraphs - 1:
+        raise FormatError(
+            f"document {truth.doc_id}: {len(truth.changes)} changes for "
+            f"{n_paragraphs} paragraphs (expected {n_paragraphs - 1})"
+        )
+
+
+def pair_labels(doc: Document, truths: Mapping[int, TruthRecord] | None) -> Sequence[int | None]:
+    """The label of each of `doc`'s pairs: the changes of its record in `truths` (by doc id), or None each without;
+    a document without a truth record, or whose record does not hold one change per pair, is a FormatError."""
+    if truths is None:
+        return [None] * (len(doc.paragraphs) - 1)
+    truth = truths.get(doc.id)
+    if truth is None:
+        raise FormatError(f"document {doc.id} has no matching truth record")
+    _check_length(truth, len(doc.paragraphs))
+    return truth.changes
+
+
+def build_pairs(docs: Iterable[Document], truths: Sequence[TruthRecord] | None = None) -> list[ParagraphPair]:
     """Emit the (paragraphs - 1) consecutive pairs of every document, in order.
 
     With `truths` given, each pair carries the gold label for its transition;
@@ -292,36 +307,12 @@ def build_pairs(
     Truth records for unknown documents are ignored; a document without a
     truth record, or a length mismatch, is a FormatError.
     """
-    by_id: dict[int, TruthRecord] = {}
-    if truths is not None:
-        for t in truths:
-            by_id[t.doc_id] = t
-    pairs = []
-    for doc in docs:
-        changes: Sequence[int | None]
-        if truths is None:
-            changes = [None] * (len(doc.paragraphs) - 1)
-        else:
-            truth = by_id.get(doc.id)
-            if truth is None:
-                raise FormatError(f"document {doc.id} has no matching truth record")
-            if len(truth.changes) != len(doc.paragraphs) - 1:
-                raise FormatError(
-                    f"document {doc.id}: {len(truth.changes)} changes for "
-                    f"{len(doc.paragraphs)} paragraphs"
-                )
-            changes = truth.changes
-        for i in range(len(doc.paragraphs) - 1):
-            pairs.append(
-                ParagraphPair(
-                    doc_id=doc.id,
-                    pair_index=i,
-                    left=doc.paragraphs[i],
-                    right=doc.paragraphs[i + 1],
-                    label=changes[i],
-                )
-            )
-    return pairs
+    by_id = None if truths is None else {t.doc_id: t for t in truths}
+    return [
+        ParagraphPair(doc.id, i, left, right, label)
+        for doc in docs
+        for i, (left, right, label) in enumerate(zip(doc.paragraphs, doc.paragraphs[1:], pair_labels(doc, by_id)))
+    ]
 
 
 def compute_stats(docs: Sequence[Document], truths: Sequence[TruthRecord] | None = None) -> SplitStats:

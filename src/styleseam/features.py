@@ -2,9 +2,9 @@
 
 One pair is represented as the concatenation of the two per-side blocks,
 each block being [tfidf weights | scaled handcrafted counts]. A paragraph
-table scans each distinct paragraph once and stores its block once, as a
-CSR row that every pair using it reads. Everything here is deterministic
-once a vocabulary is fitted.
+table takes documents one at a time, scans each paragraph once, and stores
+each side block as a CSR row that the pairs using it read. Everything here
+is deterministic once a vocabulary is fitted.
 """
 
 from __future__ import annotations
@@ -12,24 +12,24 @@ from __future__ import annotations
 import math
 import re
 from array import array
-from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from importlib import resources
 from itertools import islice
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
-# token_count and truncate_text are looked up on the module at call time, and
-# truncate_text calls tokenize through the same namespace, so wrappers installed
+# The tokenization functions are looked up on the module at call time, and
+# kept_tokens calls tokenize through the same namespace, so wrappers installed
 # on these attributes (as the tracing benchmark does) see each call.
 from . import tokenization
-from .corpus import ParagraphPair, is_int, list_chunks, read_artifact, read_text, write_json
+from .corpus import Document, ParagraphPair, TruthRecord, is_int, list_chunks, pair_labels, read_artifact, read_text
+from .corpus import write_json
 from .errors import FormatError, UsageError
-from .tokenization import TruncationConfig
+from .tokenization import TruncationConfig, TruncationStrategy
 
 _WORD_RE = re.compile(r"[^\W_]+")
 # Every ASCII character that is not a letter or digit, as a space: the separators of ASCII word tokens.
@@ -94,22 +94,22 @@ def load_stopwords(path: str | Path | None = None) -> frozenset[str]:
     return frozenset(words)
 
 
-def fit_vocabulary(
-    texts: Sequence[str], stopwords: Iterable[str] = frozenset(), table: ParagraphTable | None = None
-) -> Vocabulary:
-    """Build a vocabulary over non-stopword word tokens of `texts`.
+def fit_vocabulary(texts: Iterable[str] | ParagraphTable, stopwords: Iterable[str] = frozenset()) -> Vocabulary:
+    """Build a vocabulary over non-stopword word tokens of `texts`, or of the paragraphs a fitting table took.
 
     Document frequency counts texts containing the term at least once; a
-    text that occurs twice counts twice but is scanned once. With a `table`,
-    the scans go through it, and it keeps those it needs.
+    text that occurs twice counts twice. A table brings its own stopwords.
     """
-    if not texts:
+    table = texts if isinstance(texts, ParagraphTable) else ParagraphTable(stopwords=stopwords, fit=True)
+    for text in () if texts is table else texts:
+        table.add((text,), ())
+    if not table.document_count:
         raise UsageError("cannot fit a vocabulary on an empty corpus")
-    stop = frozenset(w.lower() for w in stopwords)
-    counted = (table if table is not None else ParagraphTable([])).document_frequencies(texts, stop)
+    table._compact()
+    counted = {term: int(df) for term, df in zip(table._terms, table._df.tolist()) if df}
     terms = tuple(sorted(counted))
     doc_freq = np.array([counted[term] for term in terms], dtype=np.int64)
-    return Vocabulary(terms=terms, doc_freq=doc_freq, document_count=len(texts), stopwords=stop)
+    return Vocabulary(terms=terms, doc_freq=doc_freq, document_count=table.document_count, stopwords=table.stopwords)
 
 
 @dataclass(eq=False)
@@ -140,118 +140,139 @@ class _TermIds(dict):
 
 
 class ParagraphTable:
-    """The paragraphs of a pair list, each distinct one word-scanned once.
+    """The pairs of documents taken one at a time, as CSR rows of their side blocks.
 
-    The budget check counts tokens without a regex. Each paragraph that is a
-    side of a pair within budget gets one row. A cut pair's sides are the
-    space-joined tokens truncation keeps, and each distinct kept text gets
-    one row; only the kept end of each side is tokenized, its length known
-    from the budget check's counts. Without a truncation config no pair is
-    cut. Scans queue their term ids, and every 16,384 ids are compacted into
-    each row's distinct (id, count) entries, stopwords left out.
+    `add` word-scans each paragraph once: all of it when fitting, as its document frequencies count all
+    of it, else only the spans its rows keep. A side kept whole is one row, which both pairs of its
+    paragraph share. A cut ASCII side's row is the run of the scan's term ids inside its kept tokens'
+    span; a cut non-ASCII side is scanned from its kept tokens joined by spaces, as lowercasing a slice
+    can differ (a final sigma). Without a truncation config no pair is cut. Only term ids outlive `add`,
+    never text; every 16,384 are compacted into each row's (id, count) entries and the document
+    frequencies, stopwords left out.
     """
 
-    def __init__(self, pairs: Iterable[ParagraphPair], truncation: TruncationConfig | None = None) -> None:
-        self.pairs, self.truncation = list(pairs), truncation
-        self.cut = [False] * len(self.pairs)
-        self._sizes: dict[str, int] = {}  # token count of each side of a cut pair
-        if truncation is not None:
-            sizes = {text: tokenization.token_count(text) for text in dict.fromkeys(self._sides())}
-            self.cut = [sizes[p.left] + sizes[p.right] > truncation.budget for p in self.pairs]
-            self._sizes = {text: sizes[text] for text in self._sides(cut=True)}
-        self._uncut = set(self._sides(cut=False))
-        self._rows: dict[str, int] = {}  # side text (a paragraph or a kept text) -> its row
+    def __init__(self, truncation: TruncationConfig | None = None, stopwords: Iterable[str] = (), fit: bool = False):
+        self.truncation, self.fit, self.stopwords = truncation, fit, frozenset(w.lower() for w in stopwords)
+        self.left, self.right, self.labels = [], [], []  # by pair: its side rows and label, then its PairKey fields
+        self.doc_ids, self.pair_indices = array("q"), array("q")
+        self.document_count = 0  # the paragraphs a fitting table took
         self._terms = _TermIds()
-        self._stop, self._stopped = frozenset(), np.zeros(0, dtype=bool)  # the stopwords; by term id, is one
+        self._stopped = np.zeros(0, dtype=bool)  # by term id: is a stopword
         self._ids, self._counts, self._ends, self._surface = array("i"), array("i"), array("q", [0]), array("q")
         self._df, self._entries = np.zeros(0), np.zeros(0, dtype=np.int64)  # by term id: df, and row entries
-        self._tokens, self._scans = array("i"), []  # queued: term ids, (end, times, row)
+        self._tokens, self._runs = array("i"), []  # queued: term ids; (start, stop, times, row) runs of them
 
-    def _sides(self, cut: bool | None = None) -> Iterator[str]:
-        """Left and right paragraph of every pair, or of the pairs whose cut flag is `cut`."""
-        return (text for p, c in zip(self.pairs, self.cut) if cut in (None, c) for text in (p.left, p.right))
+    def extend(self, documents: Iterable[Document], truths: Mapping[int, TruthRecord] | None = None) -> ParagraphTable:
+        """`add` each of `documents`, labeled from `truths` by doc id; each is dropped before the next is read."""
+        for document in documents:
+            self.add(document.paragraphs, pair_labels(document, truths), document.id)
+            del document
+        return self
 
-    def document_frequencies(self, texts: Sequence[str], stopwords: frozenset[str]) -> dict[str, int]:
-        """Each non-stopword term's number of `texts` holding it.
+    def add(self, paragraphs: Sequence[str], labels: Sequence[int | None], doc_id: int = 0) -> None:
+        """Queue the rows of the pairs of consecutive `paragraphs`, one document's, labeled `labels`."""
+        cfg, pairs = self.truncation, range(len(paragraphs) - 1)
+        sizes = [tokenization.token_count(text) for text in paragraphs] if cfg is not None and pairs else []
+        needs: list[dict[tuple[bool, int] | None, int]] = [{} for _ in paragraphs]  # by paragraph: span -> row
+        sides = []
+        for j in pairs:
+            keys = [None, None]  # None for a whole paragraph, else (from_end, keep) for a cut side's kept tokens
+            if sizes and sizes[j] + sizes[j + 1] > cfg.budget:
+                from_end = cfg.strategy is TruncationStrategy.TRANSITION
+                for at, keep in enumerate(tokenization.keep_counts(sizes[j], sizes[j + 1], cfg)):
+                    if keep < sizes[j + at] or not paragraphs[j + at].isascii():  # else the uncut row serves
+                        keys[at] = (from_end and not at, keep)
+            needs[j][keys[0]] = needs[j + 1][keys[1]] = -1
+            sides.append(keys)
+        for i, text in enumerate(paragraphs):
+            self._scan_paragraph(text, sizes[i] if sizes else 0, needs[i])
+        self.left.extend(needs[j][left] for j, (left, _) in zip(pairs, sides))
+        self.right.extend(needs[j + 1][right] for j, (_, right) in zip(pairs, sides))
+        self.labels.extend(labels)
+        self.doc_ids.extend([doc_id] * len(pairs))
+        self.pair_indices.extend(pairs)
+        self.document_count += len(paragraphs) if self.fit else 0
 
-        Each distinct text is scanned once and, if an uncut side, kept.
-        """
-        self._stop, self._df = stopwords, np.zeros(len(self._terms))
-        for text, times in Counter(texts).items():
-            self._scan(text, times, row=text in self._uncut and text not in self._rows)
-        self._compact()
-        return {term: int(df) for term, df in zip(self._terms, self._df.tolist()) if df}
-
-    def _scan(self, text: str, times: int = 0, row: bool = True) -> None:
-        """Queue the term ids of `text`'s word tokens, standing for `times` texts in document frequencies."""
-        tokens = word_tokens(text)
-        self._tokens.fromlist(list(map(self._terms.__getitem__, tokens)))
-        self._scans.append((len(self._tokens), times, row))
-        if row:
-            self._rows[text] = len(self._rows)
-            hits = text.count  # the handcrafted slots: ?, ., ', () combined, word count
-            self._surface.extend((hits("?"), hits("."), hits("'"), hits("(") + hits(")"), len(tokens)))
+    def _scan_paragraph(self, text: str, size: int, needs: dict[tuple[bool, int] | None, int]) -> None:
+        """Word-scan `text` once for its document frequencies and the rows `needs` keys, and set their rows."""
+        spans = {key: tokenization.kept_span(text, key[1], key[0]) for key in needs if key} if text.isascii() else {}
+        prefix = max((stop for key, (_, stop, _) in spans.items() if not key[0]), default=None)
+        suffix = next((start for key, (start, _, _) in spans.items() if key[0]), None)
+        if self.fit or None in needs or (None not in (prefix, suffix) and prefix >= suffix):
+            first = last = self._scan(text)
+            if None in needs:
+                needs[None] = self._row(first, text, times=self.fit)
+            elif self.fit:
+                self._runs.append((*first, 1, False))
+        else:  # the union of the kept spans: a start, an end, or both apart
+            first = self._scan(text[:prefix]) if prefix is not None else (0, 0)
+            last = self._scan(text[suffix:]) if suffix is not None else (0, 0)
+        for key, (start, stop, words) in spans.items():
+            at, end = last if key[0] else first
+            needs[key] = self._row((end - words, end) if key[0] else (at, at + words), text, start, stop)
+        for key in [key for key in needs if key and key not in spans]:  # a cut non-ASCII side
+            kept = " ".join(tokenization.kept_tokens(text, size, key[1], key[0]))
+            needs[key] = self._row(self._scan(kept), kept)
         if len(self._tokens) >= 1 << 14:  # so a compaction's arrays stay small, however long the texts
             self._compact()
 
+    def _scan(self, text: str) -> tuple[int, int]:
+        """Queue the term ids of `text`'s word tokens; where they lie in the queue."""
+        start = len(self._tokens)
+        self._tokens.fromlist(list(map(self._terms.__getitem__, word_tokens(text))))
+        return start, len(self._tokens)
+
+    def _row(self, run: tuple[int, int], text: str, start: int = 0, stop: int | None = None, times: int = 0) -> int:
+        """A new row of the queued term ids in `run`, counted `times` in document frequencies; `text[start:stop]`
+        gives its handcrafted counts: ?, ., ', () combined, word count."""
+        self._runs.append((*run, times, True))
+        hits = [text.count(char, start, stop) for char in "?.'()"]
+        self._surface.extend((*hits[:3], hits[3] + hits[4], run[1] - run[0]))
+        return len(self._surface) // HANDCRAFTED_WIDTH - 1
+
     def _compact(self) -> None:
-        """Sort the queued scans' (scan, id) codes: rows keep the distinct (id, count) entries, all add df.
+        """Sort the queued runs' (run, id) codes: rows keep the distinct (id, count) entries, all add df.
 
         Stopwords are dropped from both; the stopword mask is extended over the new term ids only.
         """
-        if not self._scans:
+        if not self._runs:
             return
-        ends, times, rows = map(np.array, zip(*self._scans))
+        starts, stops, times, rows = map(np.array, zip(*self._runs))
         terms = len(self._terms)
-        new = [term in self._stop for term in islice(reversed(self._terms), terms - self._stopped.size)]
+        new = [term in self.stopwords for term in islice(reversed(self._terms), terms - self._stopped.size)]
         self._stopped = np.concatenate((self._stopped, np.array(new[::-1], dtype=bool)))
-        scans = np.repeat(np.arange(ends.size), np.diff(ends, prepend=0))
-        codes = np.sort(scans * terms + np.frombuffer(self._tokens, dtype=np.int32))
+        sizes = stops - starts
+        codes = np.repeat(np.arange(sizes.size) * terms, sizes)
+        at = np.repeat(starts - np.cumsum(sizes) + sizes, sizes)  # where each run's ids lie: runs may overlap
+        at += np.arange(at.size)
+        codes += np.frombuffer(self._tokens, dtype=np.int32)[at]
+        del at
+        codes.sort()
         first = np.flatnonzero(np.diff(codes, prepend=-1))
-        scans, ids = np.divmod(codes[first], terms)
+        runs, ids = np.divmod(codes[first], terms)
         counts = np.diff(first, append=codes.size)
         counted = ~self._stopped[ids]
-        scans, ids, counts = scans[counted], ids[counted], counts[counted]
-        self._df = np.bincount(ids, times[scans], terms) + np.pad(self._df, (0, terms - self._df.size))
-        kept = rows[scans]
+        runs, ids, counts = runs[counted], ids[counted], counts[counted]
+        self._df = np.bincount(ids, times[runs], terms) + np.pad(self._df, (0, terms - self._df.size))
+        kept = rows[runs]
         self._entries = np.bincount(ids[kept], minlength=terms) + np.pad(self._entries, (0, terms - self._entries.size))
         self._ids.frombytes(ids[kept].astype(np.int32).tobytes())
         self._counts.frombytes(counts[kept].astype(np.int32).tobytes())
-        sizes = np.bincount(scans[kept], minlength=ends.size)[rows]  # the entries of each row
+        sizes = np.bincount(runs[kept], minlength=rows.size)[rows]  # the entries of each row
         self._ends.frombytes((self._ends[-1] + np.cumsum(sizes)).tobytes())
-        self._tokens, self._scans = array("i"), []
+        self._tokens, self._runs = array("i"), []
 
     def featurize(self, vocab: Vocabulary) -> PairFeatures:
-        """Every pair's vector under `vocab`, scanning the sides that fitting did not.
+        """Every pair's vector under `vocab`, in the order the pairs were added.
 
         The rows are built from the table's entries, which are freed as they
         are read, so a table featurizes once.
         """
         if len(self._ids) < self._ends[-1]:
             raise UsageError("this table has featurized already; its entries are gone")
-        if self._stopped.size and self._stop != vocab.stopwords:
+        if self.stopwords != vocab.stopwords:
             raise UsageError("the vocabulary's stopwords differ from those the table's rows leave out")
-        self._stop = vocab.stopwords
-        left, right = [], []
-        for pair, cut in zip(self.pairs, self.cut):
-            sides = (pair.left, pair.right)
-            if cut:
-                sizes = (self._sizes[pair.left], self._sizes[pair.right])
-                kept = tokenization.truncate_text(pair.left, pair.right, sizes, self.truncation)
-                sides = tuple(" ".join(side) for side in kept)
-            left.append(self._row(sides[0]))
-            right.append(self._row(sides[1]))
-        return PairFeatures(*self._blocks(vocab), left, right, 2 * (vocab.size + HANDCRAFTED_WIDTH))
-
-    def _row(self, text: str) -> int:
-        """The row of `text`, scanned now if no row holds it yet.
-
-        A block depends on the text alone, so a kept text that recurs, as in
-        consecutive longest_first cuts of one paragraph, shares one row.
-        """
-        if text not in self._rows:
-            self._scan(text)
-        return self._rows[text]
+        return PairFeatures(*self._blocks(vocab), self.left, self.right, 2 * (vocab.size + HANDCRAFTED_WIDTH))
 
     def _blocks(self, vocab: Vocabulary) -> tuple[list[int], np.ndarray, np.ndarray]:
         """CSR (indptr, indices, values) of every row's side block, unshifted.
@@ -303,18 +324,21 @@ def pair_features(pair: ParagraphPair, vocab: Vocabulary) -> PairFeatures:
     total width 2 * (V + 5). Handcrafted counts are scaled by
     1 / (1 + word_count) of their own side.
     """
-    return ParagraphTable([pair]).featurize(vocab)
+    return featurize([pair], vocab, None)
 
 
-def featurize(pairs: Iterable[ParagraphPair], vocab: Vocabulary, truncation: TruncationConfig) -> PairFeatures:
+def featurize(pairs: Iterable[ParagraphPair], vocab: Vocabulary, truncation: TruncationConfig | None) -> PairFeatures:
     """Truncate each pair to the token budget, then extract its pair features.
 
-    This is the one featurization path of training and prediction. Pairs
-    within budget keep their original text, so character-level features are
-    unaffected unless truncation actually bites; a cut pair is featurized
-    from the space-joined tokens that truncation keeps.
+    Each pair goes through a `ParagraphTable` as a document of two
+    paragraphs: the one featurization path of training and prediction.
+    Pairs within budget keep their original text, so character-level
+    features are unaffected unless truncation actually bites.
     """
-    return ParagraphTable(pairs, truncation).featurize(vocab)
+    table = ParagraphTable(truncation, vocab.stopwords)
+    for pair in pairs:
+        table.add((pair.left, pair.right), (pair.label,), pair.doc_id)
+    return table.featurize(vocab)
 
 
 def save_vocabulary(vocab: Vocabulary, path: str | Path) -> None:

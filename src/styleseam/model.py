@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from . import corpus
-from .corpus import Document, ParagraphPair, TruthRecord, is_int, is_number, read_artifact, read_json_lines
+from .corpus import Document, PairKey, ParagraphPair, TruthRecord, is_int, is_number, read_artifact, read_json_lines
 from .errors import DataError, FormatError, UsageError
 
 if TYPE_CHECKING:  # only the linear-SVM functions load numpy, so exchange-format commands start without it
@@ -232,24 +232,23 @@ class TrainedSplit(NamedTuple):
 
 
 def train_split(
-    docs: Sequence[Document], truths: Sequence[TruthRecord], stopwords: Iterable[str], truncation: TruncationConfig,
+    docs: Iterable[Document], truths: Iterable[TruthRecord], stopwords: Iterable[str], truncation: TruncationConfig,
     cfg: TrainConfig,
 ) -> TrainedSplit:
     """Fit the vocabulary and the linear SVM on one labeled split, then score the fit on its own pairs.
 
-    The feature rows live only in this call, so they are freed before the caller writes the artifacts.
-    The objective and the accuracy, which `hinge_objective` and `predict` would give, come from one
-    margins pass.
+    `docs` may be a `corpus.iter_documents` stream: a `ParagraphTable` takes one document at a time and
+    drops its text. The feature rows live only in this call, so they are freed before the caller writes
+    the artifacts. The objective and the accuracy, which `hinge_objective` and `predict` would give,
+    come from one margins pass.
     """
     from . import features  # loads numpy; calls go through module namespaces, so wrappers installed there see each one
-    pairs = corpus.build_pairs(docs, truths)
-    if not pairs:
+    table = features.ParagraphTable(truncation, stopwords, fit=True).extend(docs, {t.doc_id: t for t in truths})
+    if not table.labels:
         raise UsageError("selected split yields no paragraph pairs")
-    table = features.ParagraphTable(pairs, truncation)
-    vocab = features.fit_vocabulary([paragraph for doc in docs for paragraph in doc.paragraphs], stopwords, table)
-    vectors = table.featurize(vocab)
-    del table  # its scans are not needed once the rows are built
-    labels = [p.label for p in pairs]
+    vocab = features.fit_vocabulary(table)
+    vectors, labels = table.featurize(vocab), table.labels
+    del table  # its entries are gone once the rows are built
     trained = train_linear_svm(vectors, labels, cfg)
     margins = _scored_margins(trained, vectors)
     correct = sum(_label(_sigmoid(margin)) == label for margin, label in zip(margins.tolist(), labels))
@@ -257,7 +256,7 @@ def train_split(
 
 
 def predict(
-    model: LinearModel, features: PairFeatures, pairs: Sequence[ParagraphPair], source: str = "tfidf-svc"
+    model: LinearModel, features: PairFeatures, pairs: Sequence[ParagraphPair | PairKey], source: str = "tfidf-svc"
 ) -> list[PredictionRecord]:
     """Score every pair of `features`, which are the vectors of `pairs`; label 1 iff sigmoid(margin) >= 0.5."""
     if features.dimension != model.dimension:
@@ -266,6 +265,15 @@ def predict(
         raise UsageError(f"{len(features)} feature vectors vs {len(pairs)} pairs")
     scores = map(_sigmoid, _scored_margins(model, features).tolist())
     return [PredictionRecord(p.doc_id, p.pair_index, score, _label(score), source) for p, score in zip(pairs, scores)]
+
+
+def predict_split(
+    model: LinearModel, vocab: Vocabulary, docs: Iterable[Document], truncation: TruncationConfig
+) -> list[PredictionRecord]:
+    """`predict` every pair of `docs` under `vocab`, the documents taken one at a time as `train_split` takes them."""
+    from . import features
+    table = features.ParagraphTable(truncation, vocab.stopwords).extend(docs)
+    return predict(model, table.featurize(vocab), [*map(PairKey, table.doc_ids, table.pair_indices)])
 
 
 def random_baseline(pairs: Sequence[ParagraphPair], seed: int) -> list[PredictionRecord]:

@@ -126,18 +126,7 @@ def truncate(left: TokenSeq, right: TokenSeq, cfg: TruncationConfig) -> tuple[To
     return truncate_longest_first(left, right, cfg)
 
 
-def truncate_text(left: str, right: str, sizes: tuple[int, int], cfg: TruncationConfig) -> tuple[TokenSeq, TokenSeq]:
-    """`truncate(tokenize(left), tokenize(right), cfg)`, tokenizing only the ends kept.
-
-    `sizes` are the sides' token counts (`token_count`). transition keeps
-    the end of `left`; every other kept side is a start.
-    """
-    keep_left, keep_right = keep_counts(*sizes, cfg)
-    from_end = cfg.strategy is TruncationStrategy.TRANSITION
-    return _kept_end(left, sizes[0], keep_left, from_end), _kept_end(right, sizes[1], keep_right, False)
-
-
-def _kept_end(text: str, size: int, keep: int, from_end: bool) -> TokenSeq:
+def kept_tokens(text: str, size: int, keep: int, from_end: bool) -> TokenSeq:
     """The first (or with `from_end`, the last) `keep` of the `size` tokens of `text`.
 
     Only a slice at that end is tokenized, sized from the text's characters
@@ -155,6 +144,17 @@ def _kept_end(text: str, size: int, keep: int, from_end: bool) -> TokenSeq:
         if len(tokens) > keep or width >= len(text):
             return tokens[len(tokens) - keep :] if from_end else tokens[:keep]
         width *= 2
+
+
+def kept_span(text: str, keep: int, from_end: bool) -> tuple[int, int, int]:
+    """(start, stop, words): the characters of ASCII `text` that hold its first (with `from_end`, last) `keep`
+    tokens, fewer than it has, and how many are alphanumeric runs; it ends where token `keep` begins, splitting none."""
+    classes = text.encode("ascii").translate(_ASCII_CLASSES)
+    if from_end:
+        classes = classes[::-1]
+    edge = re.match(rb"(?: *(?:a+|\.)){%d} *" % keep, classes).end()  # `keep` tokens and the spaces around them
+    words = keep - classes.count(b".", 0, edge)
+    return (len(text) - edge, len(text), words) if from_end else (0, edge, words)
 
 
 def assemble_pair_input(left: TokenSeq, right: TokenSeq, budget: int = TruncationConfig.budget) -> PairInput:

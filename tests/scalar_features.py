@@ -1,11 +1,12 @@
 """Scalar reference featurization and linear model: one vector per pair, no reuse.
 
-The library scans each distinct paragraph once, during vocabulary fitting
-when it trains, and stores each side block once as a CSR row that pairs
-share; its model reads pairs from those rows. These functions are the plain
-per-term, per-pair featurization and a per-vector SGD and margin loop with
-the library's arithmetic; the differential tests require bit-identical
-output from both. `dense_shrink_train_linear_svm` is the SGD as it was
+The library takes documents one at a time, scans each paragraph once, cuts
+a truncated ASCII side's row out of that scan, and stores each side block
+as a CSR row that pairs share; its model reads pairs from those rows. These
+functions are the plain per-text vocabulary, the per-term, per-pair
+featurization of the fully tokenized and truncated pair, and a per-vector
+SGD and margin loop with the library's arithmetic; the differential tests
+require bit-identical output from both. `dense_shrink_train_linear_svm` is the SGD as it was
 before its weights carried a scale: the same descent, equal up to rounding.
 """
 
@@ -84,6 +85,17 @@ def tfidf_vector(text: str, vocab: Vocabulary) -> Vector:
     weights = np.array([counts[c] * idf[c] for c in cols], dtype=np.float64)
     weights /= math.sqrt(float(np.dot(weights, weights)))
     return Vector(indices=cols, values=weights, dimension=vocab.size)
+
+
+def fit_vocabulary(texts: Sequence[str], stopwords: Iterable[str]) -> Vocabulary:
+    """Each term's document frequency from one set of word tokens per text, every occurrence of a text counted."""
+    stop = frozenset(word.lower() for word in stopwords)
+    df: dict[str, int] = {}
+    for text in texts:
+        for term in set(word_tokens(text)) - stop:
+            df[term] = df.get(term, 0) + 1
+    terms = tuple(sorted(df))
+    return Vocabulary(terms, np.array([df[term] for term in terms], dtype=np.int64), len(texts), stop)
 
 
 def handcrafted(text: str) -> HandcraftedCounts:

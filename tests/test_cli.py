@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 import shutil
 import warnings
 from pathlib import Path
@@ -420,6 +421,60 @@ class TestPredictAndEvaluate:
             )
             outputs.append((out / cli.PREDICTIONS_FILENAME).read_bytes())
         assert outputs[0] == outputs[1]
+
+
+class TestBadDocumentLateInASplit:
+    """train and predict stream a split's documents, so a bad last one surfaces after the others were scanned.
+
+    Each still exits 2 with the error it gave when every document was read first, and writes nothing.
+    """
+
+    @staticmethod
+    def _split(tmp_path, case: str) -> Path:
+        root = generate_corpus(tmp_path / "data", n_train=20, n_validation=10, seed=5)
+        for split, last in (("train", 20), ("validation", 10)):
+            directory = root / "easy" / split
+            truth = directory / f"truth-problem-{last}.json"
+            if case == "empty problem file":
+                (directory / f"problem-{last}.txt").write_text("\n\n", encoding="utf-8")
+            elif case == "truth of the wrong length":
+                record = json.loads(truth.read_text(encoding="utf-8"))
+                truth.write_text(json.dumps({**record, "changes": record["changes"] + [0]}), encoding="utf-8")
+            else:
+                truth.unlink()
+        return root
+
+    @pytest.mark.parametrize(
+        ("case", "message"),
+        [
+            ("empty problem file", "problem-20.txt contains no nonempty paragraphs"),
+            ("truth of the wrong length", r"document 20: 3 changes for 3 paragraphs \(expected 2\)"),
+            ("no truth file", "document 20 has no matching truth record"),
+        ],
+    )
+    def test_train_exits_2_and_writes_nothing(self, capsys, caplog, tmp_path, case, message):
+        root = self._split(tmp_path, case)
+        code, _ = run_cli(capsys, "train", "--dataset-root", root, "--difficulty", "easy", "--out", tmp_path / "model")
+        assert code == 2
+        [error] = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert re.search(message, error), error
+        assert list((tmp_path / "model").iterdir()) == []
+
+    @pytest.mark.parametrize("case", ["empty problem file", "truth of the wrong length", "no truth file"])
+    def test_predict_exits_2_on_an_empty_document_and_reads_no_truth(self, capsys, caplog, trained, tmp_path, case):
+        root = self._split(tmp_path, case)
+        out = tmp_path / "pred"
+        code, _ = run_cli(
+            capsys, "predict", "--dataset-root", root, "--difficulty", "easy", "--split", "validation",
+            "--model", trained / cli.MODEL_FILENAME, "--out", out,
+        )
+        if case != "empty problem file":  # predict reads no truth file
+            assert code == 0 and len(list(out.glob("solution-problem-*.json"))) == 10
+            return
+        assert code == 2
+        [error] = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert error.endswith("problem-10.txt contains no nonempty paragraphs")
+        assert list(out.iterdir()) == []
 
 
 class TestRandomBaselineCommand:

@@ -63,8 +63,10 @@ class TestFitVocabulary:
 
     def test_a_table_featurizes_once_under_the_stopwords_its_rows_left_out(self):
         pair = ParagraphPair(doc_id=0, pair_index=0, left="the cat sat", right="a dog ran")
-        table = ParagraphTable([pair])
-        vocab = fit_vocabulary([pair.left, pair.right], {"the"}, table)
+        table = ParagraphTable(None, {"the"}, fit=True)
+        table.add((pair.left, pair.right), (None,))
+        vocab = fit_vocabulary(table)
+        assert vocab == fit_vocabulary([pair.left, pair.right], {"the"})
         with pytest.raises(UsageError, match="stopwords differ"):
             table.featurize(fit_vocabulary([pair.left, pair.right], set()))
         [vec] = vectors(table.featurize(vocab))
@@ -79,14 +81,20 @@ class TestFitVocabulary:
         texts = [" ".join(rng.choices(alphabet, k=rng.randint(0, 30))) for _ in range(2500)]
         texts += texts[:300]  # repeated texts count once per occurrence
         pairs = [ParagraphPair(doc_id=0, pair_index=i, left=texts[i], right=texts[i + 1]) for i in range(0, 2400, 3)]
-        table = ParagraphTable(pairs)
-        vocab = fit_vocabulary(texts, {"w0"}, table)
+        table = ParagraphTable(None, {"w0"}, fit=True)
+        for i in range(0, 2400, 3):  # a document of one pair, whose sides become rows, then a text alone
+            table.add(texts[i : i + 2], (None,))
+            table.add(texts[i + 2 : i + 3], ())
+        for text in texts[2400:]:
+            table.add((text,), ())
+        vocab = fit_vocabulary(table)
         expected: Counter[str] = Counter()
         for text in texts:
             expected.update(set(text.split()) - {"w0"})
         assert _doc_freq(vocab) == dict(expected)
         assert vocab == fit_vocabulary(texts, {"w0"})
         features = table.featurize(vocab)
+        assert len(features) == len(pairs)
         for pair, vec in zip(pairs, vectors(features)):
             assert self._same(vec, _pair_vector(pair, vocab))
 
@@ -345,69 +353,78 @@ class TestFeaturize:
             monkeypatch.setattr(module, name, wrapper)
         return calls
 
-    def _expected_scans(self, pairs, cfg):
-        """The cut pairs, and the joined kept sides they are featurized from (with repeats)."""
+    def _cut_pairs(self, pairs, cfg):
         tokenize = tokenization.tokenize
-        cut = [p for p in pairs if len(tokenize(p.left)) + len(tokenize(p.right)) > cfg.budget]
-        kept = [
-            " ".join(side)
-            for p in cut
-            for side in tokenization.truncate(tokenization.tokenize(p.left), tokenization.tokenize(p.right), cfg)
-        ]
-        return cut, kept
-
-    def _check_tokenized(self, tokenized, cut, cfg):
-        """Each argument is a kept end of a cut side, and LONG is never tokenized whole.
-
-        transition keeps the end of a left side; every other kept side is a start.
-        """
-        from_end = cfg.strategy is TruncationStrategy.TRANSITION
-        ends = [(p.left, from_end) for p in cut] + [(p.right, False) for p in cut]
-        for text in tokenized:
-            assert any(side.endswith(text) if end else side.startswith(text) for side, end in ends), text
-        # The short sides are within their share and tokenized whole; the rest are slices of LONG.
-        sliced = [text for text in tokenized if text not in (self.A, self.B, self.C)]
-        assert sum(side == self.LONG for side, _ in ends) == 4
-        assert len(sliced) >= 4
-        assert all(len(text) < len(self.LONG) for text in sliced)
+        return [p for p in pairs if len(tokenize(p.left)) + len(tokenize(p.right)) > cfg.budget]
 
     @pytest.mark.parametrize("strategy", list(TruncationStrategy))
-    def test_training_scans_each_distinct_paragraph_once(self, monkeypatch, strategy):
-        """Fitting and featurizing share one word scan per distinct paragraph; only kept ends are tokenized."""
-        pairs = build_pairs(self.DOCS)
-        cfg = TruncationConfig(budget=12, strategy=strategy)
-        cut, kept = self._expected_scans(pairs, cfg)
-        assert len(cut) == 4 and len(pairs) - len(cut) == 4
+    def test_training_scans_each_paragraph_occurrence_once(self, monkeypatch, strategy):
+        """Fitting and featurizing share one word scan per paragraph occurrence; no kept text is scanned."""
+        pairs, cfg = build_pairs(self.DOCS), TruncationConfig(budget=12, strategy=strategy)
+        assert len(self._cut_pairs(pairs, cfg)) == 4 and len(pairs) == 8
         paragraphs = [p for doc in self.DOCS for p in doc.paragraphs]
         calls = self._record_calls(monkeypatch)
-        table = features.ParagraphTable(pairs, cfg)
-        vocab = fit_vocabulary(paragraphs, {"the"}, table)
+        table = ParagraphTable(cfg, {"the"}, fit=True).extend(self.DOCS)
+        vocab = fit_vocabulary(table)
         pair_vectors = table.featurize(vocab)
-        # LONG is cut the same way more than once; each distinct kept text is scanned once.
-        assert len(set(kept)) < len(kept)
-        assert sorted(calls["word_tokens"]) == sorted([self.A, self.B, self.C, self.LONG, *set(kept)])
-        self._check_tokenized(calls["tokenize"], cut, cfg)
+        assert calls["word_tokens"] == paragraphs
+        assert calls["tokenize"] == [] and calls["truncate"] == []  # ASCII cut sides are cut out of the scans
         assert len(pair_vectors) == len(pairs)
         assert vocab == fit_vocabulary(paragraphs, {"the"})
 
-    def test_prediction_scans_uncut_sides_once(self, monkeypatch):
-        pairs = build_pairs(self.DOCS)
-        cfg = TruncationConfig(budget=12)
-        cut, kept = self._expected_scans(pairs, cfg)
+    @pytest.mark.parametrize("strategy", list(TruncationStrategy))
+    def test_prediction_scans_only_the_kept_spans(self, monkeypatch, strategy):
+        """Each paragraph occurrence is scanned once over the union of the spans its rows keep.
+
+        LONG is a side of cut pairs only: transition keeps 6 tokens at its start as a right side and 6 at
+        its end as a left side, two spans apart; longest_first keeps a start of 6 and one of 8 tokens.
+        """
+        cfg = TruncationConfig(budget=12, strategy=strategy)
+        tokens = tokenization.tokenize(self.LONG)
+        spans = [tokens[:6], tokens[-6:]] if strategy is TruncationStrategy.TRANSITION else [tokens[:8]]
         vocab = fit_vocabulary([self.A, self.LONG], set())
         calls = self._record_calls(monkeypatch)
-        featurize(pairs, vocab, cfg)
-        # LONG is a side of cut pairs only, so it is never word-scanned whole.
-        assert sorted(calls["word_tokens"]) == sorted([self.A, self.B, self.C, *set(kept)])
-        self._check_tokenized(calls["tokenize"], cut, cfg)
+        features.ParagraphTable(cfg, vocab.stopwords).extend(self.DOCS).featurize(vocab)
+        assert calls["tokenize"] == [] and calls["truncate"] == []
+        whole = [text for text in calls["word_tokens"] if text in (self.A, self.B, self.C)]
+        assert whole == [self.A, self.B, self.A, self.C, self.A, self.B, self.C, self.A]
+        slices = [text for text in calls["word_tokens"] if text not in whole]
+        assert all(self.LONG.startswith(text) or self.LONG.endswith(text) for text in slices)
+        assert [tokenization.tokenize(text) for text in slices] == spans * 2
+
+    @pytest.mark.parametrize("strategy", list(TruncationStrategy))
+    def test_only_non_ascii_cut_sides_are_tokenized(self, monkeypatch, strategy):
+        """A cut non-ASCII side is featurized from its kept tokens joined by spaces; only its ends are tokenized."""
+        other = self.LONG.replace("cats", "ΓΑΤΕΣ.Σ")
+        doc = Document(id=4, difficulty=Difficulty.EASY, paragraphs=(self.A, other, self.B, self.LONG))
+        cfg = TruncationConfig(budget=12, strategy=strategy)
+        pairs = build_pairs([doc])
+        kept = [tokenization.truncate(tokenization.tokenize(p.left), tokenization.tokenize(p.right), cfg) for p in pairs]
+        joined = [" ".join(kept[0][1]), " ".join(kept[1][0])]  # the two cut sides of `other`
+        vocab = fit_vocabulary([self.A, other], set())
+        calls = self._record_calls(monkeypatch)
+        for fit in (False, True):
+            for recorded in calls.values():
+                recorded.clear()
+            table = features.ParagraphTable(cfg, vocab.stopwords, fit=fit).extend([doc])
+            table.featurize(fit_vocabulary(table) if fit else vocab)
+            # The budget check counts `other`'s tokens; then only slices at its kept ends are tokenized.
+            assert calls["tokenize"][0] == other and len(calls["tokenize"]) >= 3
+            assert all(other.startswith(text) or other.endswith(text) for text in calls["tokenize"][1:])
+            assert all(len(text) < len(other) for text in calls["tokenize"][1:])
+            others = [text for text in calls["word_tokens"] if text not in (self.A, self.B)]
+            assert [text for text in others if not self.LONG.startswith(text)] == [other] * fit + [*dict.fromkeys(joined)]
 
     def test_within_budget_never_tokenizes(self, monkeypatch):
         pairs = build_pairs(self.DOCS)
         vocab = fit_vocabulary([self.A], set())
         calls = self._record_calls(monkeypatch)
-        featurize(pairs, vocab, TruncationConfig())
+        features.ParagraphTable(TruncationConfig(), vocab.stopwords).extend(self.DOCS).featurize(vocab)
         assert calls["tokenize"] == [] and calls["truncate"] == []
-        assert sorted(calls["word_tokens"]) == sorted([self.A, self.B, self.C, self.LONG])
+        assert calls["word_tokens"] == [p for doc in self.DOCS for p in doc.paragraphs]  # each occurrence once
+        calls["word_tokens"].clear()
+        featurize(pairs, vocab, TruncationConfig())  # two paragraphs a pair: each side scanned once
+        assert calls["word_tokens"] == [text for p in pairs for text in (p.left, p.right)]
 
 
 @settings(max_examples=60, deadline=None)

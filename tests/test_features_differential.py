@@ -1,8 +1,9 @@
 """The library's featurization and model against the scalar reference in scalar_features.py.
 
 Every comparison is exact: same indices, same dtypes, same value bytes. The
-training path fits the vocabulary through a ParagraphTable and featurizes
-from the scans fitting made; the prediction path featurizes on its own.
+training path takes documents one at a time into a fitting ParagraphTable,
+fits the vocabulary from it and featurizes from the same scans; the
+prediction path's table scans only the spans its rows keep.
 The model trains and scores from the table's rows, and must give the bits
 the reference's per-vector SGD and margin loop give; against the SGD that
 shrank every weight at every step it must agree up to rounding.
@@ -156,16 +157,15 @@ def test_repeated_non_consecutive_paragraphs():
 
 
 def _training_path(docs, stopwords, truncation):
-    """Vocabulary and vectors as `train` makes them: one table shared by fitting and featurizing."""
-    pairs = build_pairs(docs)
-    table = ParagraphTable(pairs, truncation)
-    vocab = fit_vocabulary([p for doc in docs for p in doc.paragraphs], stopwords, table)
-    return pairs, vocab, table.featurize(vocab)
+    """Vocabulary and vectors as `train` makes them: one table, taking the documents in turn, fits and featurizes."""
+    table = ParagraphTable(truncation, stopwords, fit=True).extend(iter(docs))
+    vocab = fit_vocabulary(table)
+    return build_pairs(docs), vocab, table.featurize(vocab)
 
 
 def _assert_training_path_matches_reference(docs, truncation):
     pairs, vocab, actual = _training_path(docs, STOPWORDS, truncation)
-    assert vocab == fit_vocabulary([p for doc in docs for p in doc.paragraphs], STOPWORDS)
+    assert vocab == ref.fit_vocabulary([p for doc in docs for p in doc.paragraphs], STOPWORDS)
     assert len(actual) == len(pairs)
     _assert_same(actual, ref.featurize(pairs, vocab, truncation))
 
@@ -274,6 +274,74 @@ def test_model_on_synthetic_corpus_close_to_dense_shrink(synth_corpus, strategy,
     split = synth_corpus / "easy" / "train"
     docs = load_documents(split, Difficulty.EASY)
     pairs = build_pairs(docs, load_truth(split, docs))
-    table = ParagraphTable(pairs, TruncationConfig(budget=budget, strategy=strategy))
-    vocab = fit_vocabulary([p for doc in docs for p in doc.paragraphs], STOPWORDS, table)
-    _assert_close_to_dense_shrink(table.featurize(vocab), pairs, [p.label for p in pairs], TrainConfig())
+    table = ParagraphTable(TruncationConfig(budget=budget, strategy=strategy), STOPWORDS, fit=True)
+    table.extend(docs, {t.doc_id: t for t in load_truth(split, docs)})
+    features = table.featurize(fit_vocabulary(table))
+    assert table.labels == [p.label for p in pairs] and [*zip(table.doc_ids, table.pair_indices)] == [(p.doc_id, p.pair_index) for p in pairs]
+    _assert_close_to_dense_shrink(features, pairs, table.labels, TrainConfig())
+
+
+# Paragraphs for streamed documents: a sigma before punctuation lowercases to a final sigma once the
+# kept tokens are joined by spaces, "İ" lowercases to two characters, and some paragraphs hold no token.
+STREAM_PIECES = PIECES + ["ΑΣ.Β", "ΟΔΟΣ.", "(ΣΑΣ)", "Σ?", "İ", "İstanbul", "x.y", "a'b"]
+stream_paragraphs = st.one_of(
+    st.lists(st.sampled_from(STREAM_PIECES), min_size=1, max_size=20).map(" ".join),
+    st.sampled_from([" ", "\t", "  \t "]),  # whitespace only: zero tokens
+)
+stream_layouts = st.lists(st.lists(st.integers(0, 5), min_size=1, max_size=6), min_size=1, max_size=5)
+
+
+def _assert_streamed_table_matches_reference(layouts, pool, strategy, budget):
+    """Fitting and predicting tables, taking the documents as a stream, against the per-pair reference."""
+    docs = [
+        Document(id=i, difficulty=Difficulty.EASY, paragraphs=tuple(pool[k] for k in layout))
+        for i, layout in enumerate(layouts)
+    ]
+    pairs, truncation = build_pairs(docs), TruncationConfig(budget=budget, strategy=strategy)
+    fitting = ParagraphTable(truncation, STOPWORDS, fit=True).extend(iter(docs))
+    vocab = fit_vocabulary(fitting)
+    assert vocab == ref.fit_vocabulary([p for doc in docs for p in doc.paragraphs], STOPWORDS)
+    _assert_same(fitting.featurize(vocab), ref.featurize(pairs, vocab, truncation))
+    for vocabulary in (vocab, _vocabulary()):
+        predicting = ParagraphTable(truncation, vocabulary.stopwords).extend(iter(docs))
+        assert [*zip(predicting.doc_ids, predicting.pair_indices)] == [(p.doc_id, p.pair_index) for p in pairs] and predicting.document_count == 0
+        _assert_same(predicting.featurize(vocabulary), ref.featurize(pairs, vocabulary, truncation))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    stream_layouts,
+    st.lists(stream_paragraphs, min_size=6, max_size=6),
+    st.sampled_from(list(TruncationStrategy)),
+    st.integers(2, 20),
+)
+@example(  # non-ASCII cut sides, each paragraph repeated within and across documents, a one-paragraph document
+    [[0, 1, 0, 2], [2], [3, 1, 3, 4]], ["ΑΣ.Β cat (ΣΑΣ) dog", "İstanbul dog's x.y ΟΔΟΣ.", " ", "cat", "Σ? İ", "\t"],
+    TruncationStrategy.TRANSITION, 3,
+)
+@example(
+    [[0, 1, 0, 2], [2], [3, 1, 3, 4]], ["ΑΣ.Β cat (ΣΑΣ) dog", "İstanbul dog's x.y ΟΔΟΣ.", " ", "cat", "Σ? İ", "\t"],
+    TruncationStrategy.LONGEST_FIRST, 4,
+)
+def test_streamed_table_matches_reference(layouts, pool, strategy, budget):
+    _assert_streamed_table_matches_reference(layouts, pool, strategy, budget)
+
+
+@pytest.mark.parametrize("strategy", list(TruncationStrategy))
+@pytest.mark.parametrize("budget", [2, 3, 5, 8, 12, 20])
+def test_streamed_table_at_every_budget(strategy, budget):
+    """Long ASCII and non-ASCII paragraphs whose cuts keep a start, an end, or both apart.
+
+    "ΑΣ.Β", kept whole beside a long paragraph, still lowercases to a final sigma once its tokens are joined.
+    """
+    pool = [
+        "cat dog (bird's) it's x.y cat? " * 3,
+        "ΑΣ.Β naïve café (ΣΑΣ) ΟΔΟΣ. İstanbul " * 2,
+        "dog",
+        " ",
+        "Σ? İ cat dog bird's ωμέγα",
+        "the and of it",
+        "ΑΣ.Β",
+    ]
+    layouts = [[0, 1, 0, 2, 0], [3], [4, 0, 4, 5, 1, 1], [0, 0], [2, 3, 2], [6, 0, 6, 1, 6]]
+    _assert_streamed_table_matches_reference(layouts, pool, strategy, budget)

@@ -6,6 +6,7 @@ import math
 import random
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -13,7 +14,9 @@ import pytest
 import scalar_features as ref
 from synthdata import generate_corpus
 from styleseam import cli
-from styleseam.corpus import Difficulty, Document, ParagraphPair, TruthRecord, build_pairs, load_documents, load_truth
+from styleseam.corpus import (
+    Difficulty, Document, ParagraphPair, TruthRecord, build_pairs, iter_documents, load_documents, load_truth,
+)
 from styleseam.errors import DataError, FormatError, StyleSeamError, UsageError
 from styleseam.features import PairFeatures, ParagraphTable, fit_vocabulary, load_stopwords
 from styleseam.model import (
@@ -27,6 +30,7 @@ from styleseam.model import (
     load_external_predictions,
     load_model,
     predict,
+    predict_split,
     random_baseline,
     save_model,
     save_predictions,
@@ -35,6 +39,10 @@ from styleseam.model import (
     warmup_schedule,
 )
 from styleseam.tokenization import TruncationConfig, TruncationStrategy
+
+
+class Paragraph(str):
+    """A paragraph that takes weak references, unlike a plain str."""
 
 
 def _features(rows: list[dict[int, float]], dimension: int) -> PairFeatures:
@@ -286,15 +294,17 @@ class TestTrainSplit:
         stopwords, truncation, cfg = load_stopwords(), TruncationConfig(budget, strategy), TrainConfig(epochs=2)
 
         pairs = build_pairs(docs, truths)
-        table = ParagraphTable(pairs, truncation)
-        vocab = fit_vocabulary([p for doc in docs for p in doc.paragraphs], stopwords, table)
+        table = ParagraphTable(truncation, stopwords, fit=True)
+        for doc, truth in zip(docs, truths):
+            table.add(doc.paragraphs, truth.changes, doc.id)
+        vocab = fit_vocabulary(table)
         vectors = table.featurize(vocab)
         labels = [p.label for p in pairs]
         model = train_linear_svm(vectors, labels, cfg)
         objective = hinge_objective(model, vectors, labels)
         correct = sum(r.label == y for r, y in zip(predict(model, vectors, pairs), labels))
 
-        fit = train_split(docs, truths, stopwords, truncation, cfg)
+        fit = train_split(iter_documents(split, Difficulty.EASY), truths, stopwords, truncation, cfg)
         fields = ("terms", "document_count", "stopwords")
         assert [getattr(fit.vocabulary, f) for f in fields] == [getattr(vocab, f) for f in fields]
         assert fit.vocabulary.doc_freq.tobytes() == vocab.doc_freq.tobytes()
@@ -304,29 +314,54 @@ class TestTrainSplit:
         assert (fit.correct, fit.pair_count) == (correct, len(pairs))
         assert 0 < fit.correct <= fit.pair_count
 
-    # tracemalloc's peak of train_split over the bytes of the CSR it trains on: 3.76 measured on a
-    # 600-document corpus (Python 3.11, numpy 2.4), plus a margin. The table's int32 entries, small
-    # compactions and row chunks and the single margins pass keep it there; with int64 column indices,
-    # 65,536-id compactions, 1,024-row chunks and separate objective and accuracy passes it read 4.95.
+    # tracemalloc's peak of train_split, reading its documents as a stream, over the bytes of the CSR it
+    # trains on: 3.86 measured on a 600-document corpus (Python 3.11, numpy 2.4), plus a margin. The split's
+    # text is never held at once, and the table's int32 entries, small compactions and row chunks and the
+    # single margins pass keep the rest there. With every document loaded inside the call, the table that
+    # kept a pair list and each cut side's text read 5.04.
     PEAK_PER_CSR_BYTE = 4.2
 
     def test_peak_memory_is_bounded_by_the_rows(self, tmp_path):
-        root = generate_corpus(tmp_path, n_train=600, n_validation=0, seed=91)
-        docs = load_documents(root / "easy" / "train", Difficulty.EASY)
-        truths = load_truth(root / "easy" / "train", docs)
+        split = generate_corpus(tmp_path, n_train=600, n_validation=0, seed=91) / "easy" / "train"
+        truths = load_truth(split)
         stopwords, truncation, cfg = load_stopwords(), TruncationConfig(), TrainConfig(epochs=1)
-        table = ParagraphTable(build_pairs(docs, truths), truncation)
-        rows = table.featurize(fit_vocabulary([p for doc in docs for p in doc.paragraphs], stopwords, table))
+        table = ParagraphTable(truncation, stopwords, fit=True).extend(iter_documents(split, Difficulty.EASY))
+        rows = table.featurize(fit_vocabulary(table))
         del table
         np.random.default_rng  # numpy.random loads on first use; its modules are not the split's memory
         tracemalloc.start()
         try:
-            train_split(docs, truths, stopwords, truncation, cfg)
+            train_split(iter_documents(split, Difficulty.EASY), truths, stopwords, truncation, cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak <= self.PEAK_PER_CSR_BYTE * (rows.indices.nbytes + rows.values.nbytes)
         assert rows.indices.dtype == np.int32
+
+    @pytest.mark.parametrize("strategy", list(TruncationStrategy))
+    def test_no_paragraph_outlives_its_document(self, strategy):
+        """Once train_split or predict_split asks for document k + 1, no paragraph of document k is alive."""
+        layouts = [[0, 1, 2], [3], [2, 4, 0, 1], [5, 5], [1, 3, 0]]
+        pool = ["cat dog (bird)?", "ΑΣ.Β naïve café " * 5, "It's the fish. " * 9, " ", "x.y dog's " * 7, "cat"]
+        truths = [TruthRecord(doc_id=i, authors=2, changes=(1, 0, 1)[: len(layout) - 1]) for i, layout in
+                  enumerate(layouts)]
+        alive: list[weakref.ref] = []
+
+        def stream():
+            for i, layout in enumerate(layouts):
+                assert all(paragraph() is None for paragraph in alive), f"a paragraph of document {i - 1} is alive"
+                # A str subclass takes weak references; `doc` holds the only strong ones once yielded.
+                doc = [Document(id=i, difficulty=Difficulty.EASY, paragraphs=tuple(Paragraph(pool[k]) for k in layout))]
+                alive[:] = [weakref.ref(paragraph) for paragraph in doc[0].paragraphs]
+                yield doc.pop()
+            assert all(paragraph() is None for paragraph in alive)
+
+        truncation = TruncationConfig(budget=12, strategy=strategy)
+        fit = train_split(stream(), truths, frozenset({"the"}), truncation, TrainConfig(epochs=1))
+        records = predict_split(fit.model, fit.vocabulary, stream(), truncation)
+        docs = [Document(id=i, difficulty=Difficulty.EASY, paragraphs=tuple(pool[k] for k in l)) for i, l in
+                enumerate(layouts)]
+        assert [(r.doc_id, r.pair_index) for r in records] == [(p.doc_id, p.pair_index) for p in build_pairs(docs)]
 
     def test_split_without_pairs_rejected(self):
         docs = [Document(id=1, difficulty=Difficulty.EASY, paragraphs=("only one",))]

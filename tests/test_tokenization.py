@@ -12,11 +12,13 @@ from styleseam.tokenization import (
     TruncationConfig,
     TruncationStrategy,
     assemble_pair_input,
+    keep_counts,
+    kept_span,
+    kept_tokens,
     token_count,
     tokenize,
     truncate,
     truncate_longest_first,
-    truncate_text,
     truncate_transition,
 )
 
@@ -201,13 +203,20 @@ def test_longest_first_matches_removal_oracle(case):
 
 
 # Whitespace runs and non-ASCII letters make characters per token uneven along a
-# text, so the first slice truncate_text tokenizes often holds too few tokens.
+# text, so the first slice kept_tokens tokenizes often holds too few tokens.
 UNEVEN_PIECES = ["word", "a1", "İ", "Σ", "東", "İİİ", "ΣΣ", "東東東", ".", "(", "_", "'", " ", "\t\n", " " * 40]
 uneven_texts = st.lists(st.sampled_from(UNEVEN_PIECES), max_size=60).map("".join)
 
 
+def truncate_text(left, right, sizes, cfg):
+    """A pair truncated by `kept_tokens`, from the sides' token counts `sizes`."""
+    keep_left, keep_right = keep_counts(*sizes, cfg)
+    from_end = cfg.strategy is TruncationStrategy.TRANSITION
+    return kept_tokens(left, sizes[0], keep_left, from_end), kept_tokens(right, sizes[1], keep_right, False)
+
+
 class TestTruncateText:
-    """`truncate_text` tokenizes only the kept ends, and equals truncating the whole tokenization."""
+    """`kept_tokens` tokenizes only the kept ends, and equals truncating the whole tokenization."""
 
     @settings(max_examples=400, deadline=None)
     @given(uneven_texts, uneven_texts, st.integers(2, 40), st.sampled_from(list(TruncationStrategy)))
@@ -228,6 +237,20 @@ class TestTruncateText:
         assert truncate_text(left, right, sizes, cfg) == truncate(tokenize(left), tokenize(right), cfg)
         assert len(sliced) > 2
         assert all(left.startswith(text) or left.endswith(text) or right.startswith(text) for text in sliced)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet=st.characters(max_codepoint=127), max_size=40), st.data())
+    def test_kept_span_holds_the_kept_tokens(self, text, data):
+        """The span an ASCII side's kept tokens cover: a start or an end of it, splitting no token."""
+        size = token_count(text)
+        keep = data.draw(st.integers(0, max(size - 1, 0)))
+        tokens = tokenize(text)
+        for from_end in (False, True) if size else ():
+            start, stop, words = kept_span(text, keep, from_end)
+            kept = tokens[size - keep :] if from_end else tokens[:keep]
+            assert tokenize(text[start:stop]) == kept
+            assert stop == len(text) if from_end else start == 0
+            assert words == sum(token.isalnum() for token in kept)
 
     def test_side_within_its_share_is_tokenized_whole(self, monkeypatch):
         sliced = []
