@@ -130,7 +130,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     out = _out_dir(args)
 
     directory, listing = _split(args, difficulty)
-    truths = corpus.load_truth(directory, (), listing)  # no documents: each one's length is checked as it streams
+    truths = corpus.load_truth(directory, documents=(), listing=listing)  # lengths are checked as documents stream
     docs = corpus.iter_documents(directory, difficulty, listing)
     fit = model_mod.train_split(docs, truths, features.load_stopwords(args.stopwords), truncation, train_config)
     logger.info("fitted vocabulary: %d terms over %d paragraphs", fit.vocabulary.size, fit.vocabulary.document_count)

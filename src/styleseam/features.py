@@ -100,6 +100,8 @@ def fit_vocabulary(texts: Iterable[str] | ParagraphTable, stopwords: Iterable[st
     Document frequency counts texts containing the term at least once; a
     text that occurs twice counts twice. A table brings its own stopwords.
     """
+    if isinstance(texts, ParagraphTable) and stopwords:
+        raise UsageError("a table's vocabulary leaves out the stopwords the table was made with")
     table = texts if isinstance(texts, ParagraphTable) else ParagraphTable(stopwords=stopwords, fit=True)
     for text in () if texts is table else texts:
         table.add((text,), ())

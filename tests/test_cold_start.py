@@ -134,11 +134,11 @@ def test_readme_library_imports_resolve():
 def test_readme_library_example_runs(pan_fixture, tmp_path, monkeypatch):
     """The README's Library example runs as written, with its data/ paths on the bundled dataset."""
     example = _readme_library_example()
-    assert example.count('"data/') == 4
+    assert example.count('"data/') == 2
     monkeypatch.chdir(tmp_path)  # the example writes its solutions to ./out
     namespace: dict[str, object] = {}
     exec(example.replace('"data/', f'"{pan_fixture.as_posix()}/'), namespace)
-    stats, fit, pairs, entry = (namespace[name] for name in ("stats", "fit", "pairs", "entry"))
-    assert stats.pair_count == fit.pair_count == 7  # easy/train of the bundled dataset
+    stats, fit, records, entry = (namespace[name] for name in ("stats", "fit", "records", "entry"))
+    assert stats.pair_count == fit.pair_count == len(namespace["features"]) == 7  # easy/train of the bundled dataset
     assert 0 <= fit.correct <= fit.pair_count
-    assert entry.pair_count == len(pairs) > 0 and 0.0 <= entry.macro_f1 <= 1.0
+    assert entry.pair_count == len(records) > 0 and 0.0 <= entry.macro_f1 <= 1.0

@@ -65,6 +65,8 @@ class TestFitVocabulary:
         pair = ParagraphPair(doc_id=0, pair_index=0, left="the cat sat", right="a dog ran")
         table = ParagraphTable(None, {"the"}, fit=True)
         table.add((pair.left, pair.right), (None,))
+        with pytest.raises(UsageError, match="stopwords the table was made with"):
+            fit_vocabulary(table, {"a"})
         vocab = fit_vocabulary(table)
         assert vocab == fit_vocabulary([pair.left, pair.right], {"the"})
         with pytest.raises(UsageError, match="stopwords differ"):
