@@ -71,7 +71,6 @@ __all__ = [
     "compute_stats",
     "ensemble",
     "f1_per_class",
-    "featurize",
     "fit_vocabulary",
     "hinge_objective",
     "load_documents",

@@ -22,14 +22,14 @@ from typing import Iterable
 
 import numpy as np
 
-# The tokenization functions are looked up on the module at call time, and
-# kept_tokens calls tokenize through the same namespace, so wrappers installed
-# on these attributes (as the tracing benchmark does) see each call.
+# The tokenization functions are looked up on the module at call time, so
+# wrappers installed on its attributes (as the tracing benchmark does) see
+# each call.
 from . import tokenization
 from .corpus import Document, ParagraphPair, TruthRecord, is_int, list_chunks, pair_labels, read_artifact, read_text
 from .corpus import write_json
 from .errors import FormatError, UsageError
-from .tokenization import TruncationConfig, TruncationStrategy
+from .tokenization import TokenSeq, TruncationConfig, TruncationStrategy
 
 _WORD_RE = re.compile(r"[^\W_]+")
 # Every ASCII character that is not a letter or digit, as a space: the separators of ASCII word tokens.
@@ -94,17 +94,12 @@ def load_stopwords(path: str | Path | None = None) -> frozenset[str]:
     return frozenset(words)
 
 
-def fit_vocabulary(texts: Iterable[str] | ParagraphTable, stopwords: Iterable[str] = frozenset()) -> Vocabulary:
-    """Build a vocabulary over non-stopword word tokens of `texts`, or of the paragraphs a fitting table took.
+def fit_vocabulary(table: ParagraphTable) -> Vocabulary:
+    """Build a vocabulary over the word tokens of the paragraphs a fitting table took, its stopwords left out.
 
-    Document frequency counts texts containing the term at least once; a
-    text that occurs twice counts twice. A table brings its own stopwords.
+    Document frequency counts paragraphs containing the term at least once;
+    a paragraph that occurs twice counts twice.
     """
-    if isinstance(texts, ParagraphTable) and stopwords:
-        raise UsageError("a table's vocabulary leaves out the stopwords the table was made with")
-    table = texts if isinstance(texts, ParagraphTable) else ParagraphTable(stopwords=stopwords, fit=True)
-    for text in () if texts is table else texts:
-        table.add((text,), ())
     if not table.document_count:
         raise UsageError("cannot fit a vocabulary on an empty corpus")
     table._compact()
@@ -148,9 +143,9 @@ class ParagraphTable:
     of it, else only the spans its rows keep. A side kept whole is one row, which both pairs of its
     paragraph share. A cut ASCII side's row is the run of the scan's term ids inside its kept tokens'
     span; a cut non-ASCII side is scanned from its kept tokens joined by spaces, as lowercasing a slice
-    can differ (a final sigma). Without a truncation config no pair is cut. Only term ids outlive `add`,
-    never text; every 16,384 are compacted into each row's (id, count) entries and the document
-    frequencies, stopwords left out.
+    can differ (a final sigma), and they are sliced from the one tokenization its count took. Without a
+    truncation config no pair is cut. Only term ids outlive `add`, never text; every 16,384 are compacted
+    into each row's (id, count) entries and the document frequencies, stopwords left out.
     """
 
     def __init__(self, truncation: TruncationConfig | None = None, stopwords: Iterable[str] = (), fit: bool = False):
@@ -174,7 +169,9 @@ class ParagraphTable:
     def add(self, paragraphs: Sequence[str], labels: Sequence[int | None], doc_id: int = 0) -> None:
         """Queue the rows of the pairs of consecutive `paragraphs`, one document's, labeled `labels`."""
         cfg, pairs = self.truncation, range(len(paragraphs) - 1)
-        sizes = [tokenization.token_count(text) for text in paragraphs] if cfg is not None and pairs else []
+        # Only a non-ASCII paragraph is tokenized, once: its tokens give its count and its cut sides' kept tokens.
+        tokens = [None if p.isascii() else tokenization.tokenize(p) for p in paragraphs] if cfg and pairs else []
+        sizes = [tokenization.token_count(text) if seq is None else len(seq) for text, seq in zip(paragraphs, tokens)]
         needs: list[dict[tuple[bool, int] | None, int]] = [{} for _ in paragraphs]  # by paragraph: span -> row
         sides = []
         for j in pairs:
@@ -187,7 +184,7 @@ class ParagraphTable:
             needs[j][keys[0]] = needs[j + 1][keys[1]] = -1
             sides.append(keys)
         for i, text in enumerate(paragraphs):
-            self._scan_paragraph(text, sizes[i] if sizes else 0, needs[i])
+            self._scan_paragraph(text, tokens[i] if tokens else None, needs[i])
         self.left.extend(needs[j][left] for j, (left, _) in zip(pairs, sides))
         self.right.extend(needs[j + 1][right] for j, (_, right) in zip(pairs, sides))
         self.labels.extend(labels)
@@ -195,8 +192,9 @@ class ParagraphTable:
         self.pair_indices.extend(pairs)
         self.document_count += len(paragraphs) if self.fit else 0
 
-    def _scan_paragraph(self, text: str, size: int, needs: dict[tuple[bool, int] | None, int]) -> None:
-        """Word-scan `text` once for its document frequencies and the rows `needs` keys, and set their rows."""
+    def _scan_paragraph(self, text: str, tokens: TokenSeq | None, needs: dict[tuple[bool, int] | None, int]) -> None:
+        """Word-scan `text` once for its document frequencies and the rows `needs` keys, and set their rows;
+        `tokens`, its tokenization if it is not ASCII and its pairs were counted, gives a cut side's kept tokens."""
         spans = {key: tokenization.kept_span(text, key[1], key[0]) for key in needs if key} if text.isascii() else {}
         prefix = max((stop for key, (_, stop, _) in spans.items() if not key[0]), default=None)
         suffix = next((start for key, (start, _, _) in spans.items() if key[0]), None)
@@ -213,7 +211,7 @@ class ParagraphTable:
             at, end = last if key[0] else first
             needs[key] = self._row((end - words, end) if key[0] else (at, at + words), text, start, stop)
         for key in [key for key in needs if key and key not in spans]:  # a cut non-ASCII side
-            kept = " ".join(tokenization.kept_tokens(text, size, key[1], key[0]))
+            kept = " ".join(tokens[len(tokens) - key[1] :] if key[0] else tokens[: key[1]])
             needs[key] = self._row(self._scan(kept), kept)
         if len(self._tokens) >= 1 << 14:  # so a compaction's arrays stay small, however long the texts
             self._compact()
@@ -326,20 +324,8 @@ def pair_features(pair: ParagraphPair, vocab: Vocabulary) -> PairFeatures:
     total width 2 * (V + 5). Handcrafted counts are scaled by
     1 / (1 + word_count) of their own side.
     """
-    return featurize([pair], vocab, None)
-
-
-def featurize(pairs: Iterable[ParagraphPair], vocab: Vocabulary, truncation: TruncationConfig | None) -> PairFeatures:
-    """Truncate each pair to the token budget, then extract its pair features.
-
-    Each pair goes through a `ParagraphTable` as a document of two
-    paragraphs: the one featurization path of training and prediction.
-    Pairs within budget keep their original text, so character-level
-    features are unaffected unless truncation actually bites.
-    """
-    table = ParagraphTable(truncation, vocab.stopwords)
-    for pair in pairs:
-        table.add((pair.left, pair.right), (pair.label,), pair.doc_id)
+    table = ParagraphTable(stopwords=vocab.stopwords)
+    table.add((pair.left, pair.right), (pair.label,), pair.doc_id)
     return table.featurize(vocab)
 
 

@@ -110,7 +110,10 @@ def warmup_schedule(step: int, total_steps: int, cfg: TrainConfig) -> float:
         raise UsageError("total_steps must be positive")
     if not 0 <= step < total_steps:
         raise UsageError(f"step {step} outside [0, {total_steps})")
-    warmup_steps = round(cfg.warmup_ratio * total_steps)
+    try:
+        warmup_steps = round(cfg.warmup_ratio * total_steps)
+    except OverflowError:
+        raise UsageError("too many training steps to take as a float; give fewer epochs") from None
     if step < warmup_steps:
         return cfg.peak_lr * (step + 1) / warmup_steps
     return cfg.peak_lr * (total_steps - step) / (total_steps - warmup_steps)
@@ -121,21 +124,20 @@ def _margins(model: LinearModel, features: PairFeatures) -> np.ndarray:
     import numpy as np
     ptr, half = np.asarray(features.indptr), features.dimension // 2
     sums = np.zeros((2, ptr.size - 1))
-    for first in range(0, ptr.size - 1, 256):
-        starts = ptr[first : first + 257] - ptr[first]
-        rows = np.flatnonzero(starts[1:] > starts[:-1])  # an empty row keeps 0: reduceat would give it an entry
-        entries = slice(ptr[first], ptr[first] + starts[-1])
-        for side, w in enumerate((model.weights[:half], model.weights[half:]) if rows.size else ()):
-            products = w[features.indices[entries]] * features.values[entries]
-            sums[side, first + rows] = np.add.reduceat(products, starts[rows])
-    return sums[0][features.left] + sums[1][features.right] + model.bias
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing model gives inf or NaN margins, not warnings
+        for first in range(0, ptr.size - 1, 256):
+            starts = ptr[first : first + 257] - ptr[first]
+            rows = np.flatnonzero(starts[1:] > starts[:-1])  # an empty row keeps 0: reduceat would give it an entry
+            entries = slice(ptr[first], ptr[first] + starts[-1])
+            for side, w in enumerate((model.weights[:half], model.weights[half:]) if rows.size else ()):
+                products = w[features.indices[entries]] * features.values[entries]
+                sums[side, first + rows] = np.add.reduceat(products, starts[rows])
+        return sums[0][features.left] + sums[1][features.right] + model.bias
 
 
 def hinge_objective(model: LinearModel, features: PairFeatures, labels: Sequence[int]) -> float:
     """Full-batch regularized objective: 0.5*l2*||w||^2 + mean hinge loss, summed in pair order."""
-    import numpy as np
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing model gives inf or NaN, not warnings
-        return _objective(model, _margins(model, features), labels)
+    return _objective(model, _margins(model, features), labels)
 
 
 def _objective(model: LinearModel, margins: np.ndarray, labels: Sequence[int]) -> float:
@@ -151,8 +153,7 @@ def _objective(model: LinearModel, margins: np.ndarray, labels: Sequence[int]) -
 def _scored_margins(model: LinearModel, features: PairFeatures) -> np.ndarray:
     """The margins of every pair, which `predict` scores; a NaN margin is a DataError."""
     import numpy as np
-    with np.errstate(over="ignore", invalid="ignore"):  # a NaN margin is reported below, not warned about
-        margins = _margins(model, features)
+    margins = _margins(model, features)
     if np.isnan(margins).any():
         raise DataError("prediction margin is NaN: the model weights overflow or are not finite")
     return margins

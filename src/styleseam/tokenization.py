@@ -126,26 +126,6 @@ def truncate(left: TokenSeq, right: TokenSeq, cfg: TruncationConfig) -> tuple[To
     return truncate_longest_first(left, right, cfg)
 
 
-def kept_tokens(text: str, size: int, keep: int, from_end: bool) -> TokenSeq:
-    """The first (or with `from_end`, the last) `keep` of the `size` tokens of `text`.
-
-    Only a slice at that end is tokenized, sized from the text's characters
-    per token and doubled until it holds more than `keep` tokens. Every
-    token is a run of one character class, so only the token at the cut
-    edge of the slice can be partial, and the `keep` tokens before it are
-    whole.
-    """
-    if keep >= size:
-        return tokenize(text)
-    # An eighth and a few characters over the average width of keep + 1 tokens rarely falls short.
-    width = len(text) * (keep + 1) // size * 9 // 8 + 8
-    while True:
-        tokens = tokenize(text[-width:] if from_end else text[:width])
-        if len(tokens) > keep or width >= len(text):
-            return tokens[len(tokens) - keep :] if from_end else tokens[:keep]
-        width *= 2
-
-
 def kept_span(text: str, keep: int, from_end: bool) -> tuple[int, int, int]:
     """(start, stop, words): the characters of ASCII `text` that hold its first (with `from_end`, last) `keep`
     tokens, fewer than it has, and how many are alphanumeric runs; it ends where token `keep` begins, splitting none."""

@@ -181,6 +181,21 @@ class TestTrain:
         assert errors[0].exc_info is None
         assert not out.exists()
 
+    @pytest.mark.parametrize("route", ["flag", "config"])
+    def test_epochs_too_many_for_a_float_is_exit_2(self, capsys, caplog, pan_fixture, tmp_path, route):
+        epochs = "1" + "0" * 400  # its step count overflows the float of the warmup schedule
+        settings = ["--epochs", epochs]
+        if route == "config":
+            (tmp_path / "run.json").write_text(f'{{"epochs": {epochs}}}')
+            settings = ["--config", tmp_path / "run.json"]
+        out = tmp_path / "out"
+        code, _ = run_cli(capsys, "train", "--dataset-root", pan_fixture, "--difficulty", "easy", *settings, "--out", out)
+        errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+        assert code == 2
+        assert [r.getMessage() for r in errors] == ["too many training steps to take as a float; give fewer epochs"]
+        assert errors[0].exc_info is None
+        assert not (out / cli.MODEL_FILENAME).exists()
+
 
 class TestPredictAndEvaluate:
     @pytest.mark.parametrize("doc_freq", [-1, "3"])
@@ -366,10 +381,11 @@ class TestPredictAndEvaluate:
         assert "both name document 1" in caplog.text
 
     def test_dimension_mismatch_is_exit_2(self, capsys, synth_corpus, trained, tmp_path):
-        from styleseam.features import fit_vocabulary, save_vocabulary
+        from styleseam.features import save_vocabulary
+        from tables import fit_texts
 
         tiny = tmp_path / "tiny-vocab.json"
-        save_vocabulary(fit_vocabulary(["alpha beta"], set()), tiny)
+        save_vocabulary(fit_texts(["alpha beta"]), tiny)
         code, _ = run_cli(
             capsys,
             "predict",

@@ -108,7 +108,7 @@ def test_every_export_resolves():
     namespace: dict[str, object] = {}
     exec("from styleseam import *", namespace)
     assert set(styleseam.__all__) <= set(namespace)
-    assert styleseam.featurize is styleseam.features.featurize
+    assert styleseam.fit_vocabulary is styleseam.features.fit_vocabulary
     assert not hasattr(styleseam, "no_such_export")
 
 

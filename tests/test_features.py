@@ -18,7 +18,6 @@ from styleseam.features import (
     HANDCRAFTED_WIDTH,
     ParagraphTable,
     Vocabulary,
-    featurize,
     fit_vocabulary,
     load_stopwords,
     load_vocabulary,
@@ -28,7 +27,9 @@ from styleseam.features import (
 from styleseam.tokenization import TruncationConfig, TruncationStrategy
 
 # The scalar reference's side functions, which the differential tests hold the table path to.
+import scalar_features as ref
 from scalar_features import Vector, densify, handcrafted, tfidf_vector, vectors
+from tables import featurize_pairs, fit_texts
 
 
 def _pair_vector(pair: ParagraphPair, vocab: Vocabulary) -> Vector:
@@ -43,34 +44,34 @@ def _doc_freq(vocab: Vocabulary) -> dict[str, int]:
 
 class TestFitVocabulary:
     def test_stopwords_excluded_and_indices_sorted(self):
-        vocab = fit_vocabulary(["the cat", "the dog"], {"the"})
+        vocab = fit_texts(["the cat", "the dog"], {"the"})
         assert vocab.terms == ("cat", "dog")
         assert vocab.doc_freq.dtype == np.int64 and vocab.doc_freq.tolist() == [1, 1]
         assert vocab.document_count == 2
 
     def test_df_is_document_frequency(self):
-        vocab = fit_vocabulary(["a a b"], set())
+        vocab = fit_texts(["a a b"])
         assert _doc_freq(vocab)["a"] == 1
 
     def test_repeated_text_counts_each_occurrence(self):
-        vocab = fit_vocabulary(["cat dog", "cat dog", "cat"], set())
+        vocab = fit_texts(["cat dog", "cat dog", "cat"])
         assert _doc_freq(vocab) == {"cat": 3, "dog": 2}
         assert vocab.document_count == 3
 
     def test_empty_corpus_rejected(self):
-        with pytest.raises(UsageError):
-            fit_vocabulary([], set())
+        with pytest.raises(UsageError, match="empty corpus"):
+            fit_texts([])
+        with pytest.raises(UsageError, match="empty corpus"):  # a table that does not fit counts no paragraph
+            fit_vocabulary(ParagraphTable().extend(TestFeaturize.DOCS))
 
     def test_a_table_featurizes_once_under_the_stopwords_its_rows_left_out(self):
         pair = ParagraphPair(doc_id=0, pair_index=0, left="the cat sat", right="a dog ran")
         table = ParagraphTable(None, {"the"}, fit=True)
         table.add((pair.left, pair.right), (None,))
-        with pytest.raises(UsageError, match="stopwords the table was made with"):
-            fit_vocabulary(table, {"a"})
         vocab = fit_vocabulary(table)
-        assert vocab == fit_vocabulary([pair.left, pair.right], {"the"})
+        assert vocab == ref.fit_vocabulary([pair.left, pair.right], {"the"})
         with pytest.raises(UsageError, match="stopwords differ"):
-            table.featurize(fit_vocabulary([pair.left, pair.right], set()))
+            table.featurize(fit_texts([pair.left, pair.right]))
         [vec] = vectors(table.featurize(vocab))
         assert self._same(vec, _pair_vector(pair, vocab))
         with pytest.raises(UsageError, match="featurized already"):
@@ -94,7 +95,7 @@ class TestFitVocabulary:
         for text in texts:
             expected.update(set(text.split()) - {"w0"})
         assert _doc_freq(vocab) == dict(expected)
-        assert vocab == fit_vocabulary(texts, {"w0"})
+        assert vocab == ref.fit_vocabulary(texts, {"w0"})
         features = table.featurize(vocab)
         assert len(features) == len(pairs)
         for pair, vec in zip(pairs, vectors(features)):
@@ -109,7 +110,7 @@ class TestFitVocabulary:
         alphabet = [f"w{i}" for i in range(40)]
         texts = [" ".join(rng.choices(alphabet, k=rng.randint(1, 12))) for _ in range(1000)]
         stop = {"w0", "w7"}
-        vocab = fit_vocabulary(texts, stop)
+        vocab = fit_texts(texts, stop)
 
         # two-pass counter, no set shortcuts
         expected: dict[str, int] = {}
@@ -127,7 +128,7 @@ class TestFitVocabulary:
         texts = ["alpha beta", "beta gamma", "gamma alpha alpha"]
         shuffled = list(texts)
         random.Random(5).shuffle(shuffled)
-        assert fit_vocabulary(texts, set()) == fit_vocabulary(shuffled, set())
+        assert fit_texts(texts) == fit_texts(shuffled)
 
 
 ascii_text = st.text(alphabet=st.characters(max_codepoint=127))
@@ -166,7 +167,7 @@ class TestWordTokens:
 class TestTfidfVector:
     @pytest.fixture()
     def vocab(self) -> Vocabulary:
-        return fit_vocabulary(["the cat", "the dog"], {"the"})
+        return fit_texts(["the cat", "the dog"], {"the"})
 
     def test_all_oov_gives_zero_vector(self, vocab):
         vec = tfidf_vector("zebra quagga", vocab)
@@ -188,7 +189,7 @@ class TestTfidfVector:
         assert vec.values.tolist() == pytest.approx([raw[0] / norm, raw[1] / norm], abs=1e-15)
 
     def test_unit_norm_whenever_nonzero(self):
-        vocab = fit_vocabulary(["red green blue", "green blue yellow", "blue"], set())
+        vocab = fit_texts(["red green blue", "green blue yellow", "blue"])
         for text in ("red red blue", "yellow", "green blue green"):
             vec = tfidf_vector(text, vocab)
             assert float(vec.values @ vec.values) == pytest.approx(1.0, abs=1e-12)
@@ -235,7 +236,7 @@ class TestHandcrafted:
 class TestPairFeatures:
     @pytest.fixture()
     def vocab(self) -> Vocabulary:
-        return fit_vocabulary(["cat dog", "dog bird", "bird? cat."], set())
+        return fit_texts(["cat dog", "dog bird", "bird? cat."])
 
     def _pair(self, left: str, right: str) -> ParagraphPair:
         return ParagraphPair(doc_id=1, pair_index=0, left=left, right=right)
@@ -248,7 +249,7 @@ class TestPairFeatures:
         assert dense[:block].tolist() == dense[block:].tolist()
 
     def test_empty_vocabulary_keeps_handcrafted_slots(self):
-        vocab = fit_vocabulary(["the of and"], {"the", "of", "and"})
+        vocab = fit_texts(["the of and"], {"the", "of", "and"})
         assert vocab.size == 0
         vec = pair_features(self._pair("the?", "of."), vocab)
         assert vec.dimension == 2 * HANDCRAFTED_WIDTH
@@ -294,7 +295,7 @@ class TestFeaturize:
 
     @pytest.fixture()
     def vocab(self) -> Vocabulary:
-        return fit_vocabulary([self.PAIR.left, self.PAIR.right], set())
+        return fit_texts([self.PAIR.left, self.PAIR.right])
 
     @staticmethod
     def _same(a: Vector, b: Vector) -> bool:
@@ -307,7 +308,7 @@ class TestFeaturize:
     @pytest.mark.parametrize("strategy", list(TruncationStrategy))
     def test_within_budget_is_pair_features_of_original_text(self, vocab, strategy):
         budget = len(tokenization.tokenize(self.PAIR.left)) + len(tokenization.tokenize(self.PAIR.right))
-        [vec] = vectors(featurize([self.PAIR], vocab, TruncationConfig(budget=budget, strategy=strategy)))
+        [vec] = vectors(featurize_pairs([self.PAIR], vocab, TruncationConfig(budget=budget, strategy=strategy)))
         assert self._same(vec, _pair_vector(self.PAIR, vocab))
         # the apostrophe and parenthesis slots of both sides are set
         dense, block = densify(vec), vocab.size + HANDCRAFTED_WIDTH
@@ -321,17 +322,17 @@ class TestFeaturize:
             tokenization.tokenize(self.PAIR.left), tokenization.tokenize(self.PAIR.right), cfg
         )
         kept = ParagraphPair(doc_id=3, pair_index=1, left=" ".join(left), right=" ".join(right))
-        [vec] = vectors(featurize([self.PAIR], vocab, cfg))
+        [vec] = vectors(featurize_pairs([self.PAIR], vocab, cfg))
         assert self._same(vec, _pair_vector(kept, vocab))
         assert not self._same(vec, _pair_vector(self.PAIR, vocab))
 
     def test_order_and_length_follow_pairs(self, vocab):
         swapped = ParagraphPair(doc_id=3, pair_index=2, left=self.PAIR.right, right=self.PAIR.left)
-        vecs = vectors(featurize([self.PAIR, swapped, self.PAIR], vocab, TruncationConfig()))
+        vecs = vectors(featurize_pairs([self.PAIR, swapped, self.PAIR], vocab, TruncationConfig()))
         assert len(vecs) == 3
         assert self._same(vecs[1], _pair_vector(swapped, vocab))
         assert self._same(vecs[0], vecs[2])
-        assert len(featurize([], vocab, TruncationConfig())) == 0
+        assert len(featurize_pairs([], vocab, TruncationConfig())) == 0
 
     # Two documents: A recurs non-consecutively and in both, and every pair with LONG is over budget 12.
     A, B, C = "The cat sat.", "A dog (barking)?", "It's a bird."
@@ -372,7 +373,7 @@ class TestFeaturize:
         assert calls["word_tokens"] == paragraphs
         assert calls["tokenize"] == [] and calls["truncate"] == []  # ASCII cut sides are cut out of the scans
         assert len(pair_vectors) == len(pairs)
-        assert vocab == fit_vocabulary(paragraphs, {"the"})
+        assert vocab == ref.fit_vocabulary(paragraphs, {"the"})
 
     @pytest.mark.parametrize("strategy", list(TruncationStrategy))
     def test_prediction_scans_only_the_kept_spans(self, monkeypatch, strategy):
@@ -384,7 +385,7 @@ class TestFeaturize:
         cfg = TruncationConfig(budget=12, strategy=strategy)
         tokens = tokenization.tokenize(self.LONG)
         spans = [tokens[:6], tokens[-6:]] if strategy is TruncationStrategy.TRANSITION else [tokens[:8]]
-        vocab = fit_vocabulary([self.A, self.LONG], set())
+        vocab = fit_texts([self.A, self.LONG])
         calls = self._record_calls(monkeypatch)
         features.ParagraphTable(cfg, vocab.stopwords).extend(self.DOCS).featurize(vocab)
         assert calls["tokenize"] == [] and calls["truncate"] == []
@@ -396,43 +397,42 @@ class TestFeaturize:
 
     @pytest.mark.parametrize("strategy", list(TruncationStrategy))
     def test_only_non_ascii_cut_sides_are_tokenized(self, monkeypatch, strategy):
-        """A cut non-ASCII side is featurized from its kept tokens joined by spaces; only its ends are tokenized."""
+        """A non-ASCII paragraph is tokenized once a document; its cut sides' kept tokens are joined by spaces."""
         other = self.LONG.replace("cats", "ΓΑΤΕΣ.Σ")
         doc = Document(id=4, difficulty=Difficulty.EASY, paragraphs=(self.A, other, self.B, self.LONG))
         cfg = TruncationConfig(budget=12, strategy=strategy)
         pairs = build_pairs([doc])
         kept = [tokenization.truncate(tokenization.tokenize(p.left), tokenization.tokenize(p.right), cfg) for p in pairs]
         joined = [" ".join(kept[0][1]), " ".join(kept[1][0])]  # the two cut sides of `other`
-        vocab = fit_vocabulary([self.A, other], set())
+        vocab = fit_texts([self.A, other])
         calls = self._record_calls(monkeypatch)
         for fit in (False, True):
             for recorded in calls.values():
                 recorded.clear()
-            table = features.ParagraphTable(cfg, vocab.stopwords, fit=fit).extend([doc])
+            table = features.ParagraphTable(cfg, vocab.stopwords, fit=fit).extend([doc, doc])
             table.featurize(fit_vocabulary(table) if fit else vocab)
-            # The budget check counts `other`'s tokens; then only slices at its kept ends are tokenized.
-            assert calls["tokenize"][0] == other and len(calls["tokenize"]) >= 3
-            assert all(other.startswith(text) or other.endswith(text) for text in calls["tokenize"][1:])
-            assert all(len(text) < len(other) for text in calls["tokenize"][1:])
+            # `other` is tokenized once in each document, for its count and both its cuts; the ASCII paragraphs never.
+            assert calls["tokenize"] == [other, other]
             others = [text for text in calls["word_tokens"] if text not in (self.A, self.B)]
-            assert [text for text in others if not self.LONG.startswith(text)] == [other] * fit + [*dict.fromkeys(joined)]
+            expected = [other] * fit + [*dict.fromkeys(joined)]
+            assert [text for text in others if not self.LONG.startswith(text)] == expected * 2
 
     def test_within_budget_never_tokenizes(self, monkeypatch):
         pairs = build_pairs(self.DOCS)
-        vocab = fit_vocabulary([self.A], set())
+        vocab = fit_texts([self.A])
         calls = self._record_calls(monkeypatch)
         features.ParagraphTable(TruncationConfig(), vocab.stopwords).extend(self.DOCS).featurize(vocab)
         assert calls["tokenize"] == [] and calls["truncate"] == []
         assert calls["word_tokens"] == [p for doc in self.DOCS for p in doc.paragraphs]  # each occurrence once
         calls["word_tokens"].clear()
-        featurize(pairs, vocab, TruncationConfig())  # two paragraphs a pair: each side scanned once
+        featurize_pairs(pairs, vocab, TruncationConfig())  # two paragraphs a pair: each side scanned once
         assert calls["word_tokens"] == [text for p in pairs for text in (p.left, p.right)]
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.sampled_from(["cat", "dog", "bird", "fish", "the"]), min_size=0, max_size=12))
 def test_tfidf_norm_is_zero_or_one(words):
-    vocab = fit_vocabulary(["cat dog", "dog bird", "fish"], {"the"})
+    vocab = fit_texts(["cat dog", "dog bird", "fish"], {"the"})
     vec = tfidf_vector(" ".join(words), vocab)
     norm = float(vec.values @ vec.values)
     assert norm == pytest.approx(0.0, abs=1e-12) or norm == pytest.approx(1.0, abs=1e-12)
@@ -450,7 +450,7 @@ class TestStopwordsAndSerialization:
         assert load_stopwords(path) == frozenset({"foo", "bar"})
 
     def test_round_trip(self, tmp_path):
-        vocab = fit_vocabulary(["cat dog", "dog bird"], {"the"})
+        vocab = fit_texts(["cat dog", "dog bird"], {"the"})
         path = tmp_path / "vocab.json"
         save_vocabulary(vocab, path)
         loaded = load_vocabulary(path)

@@ -22,12 +22,12 @@ from styleseam.features import (
     HANDCRAFTED_WIDTH,
     PairFeatures,
     ParagraphTable,
-    featurize,
     fit_vocabulary,
     pair_features,
 )
 from styleseam.model import TrainConfig, hinge_objective, predict, train_linear_svm
 from styleseam.tokenization import TruncationConfig, TruncationStrategy, tokenize
+from tables import featurize_pairs, fit_texts
 
 STOPWORDS = frozenset({"the", "and", "of", "it"})
 # In-vocabulary words include apostrophes, underscores and non-ASCII letters;
@@ -51,7 +51,7 @@ texts = st.one_of(
 
 
 def _vocabulary():
-    return fit_vocabulary(CORPUS, STOPWORDS)
+    return fit_texts(CORPUS, STOPWORDS)
 
 
 def _assert_same_vector(actual: ref.Vector, expected: ref.Vector) -> None:
@@ -114,7 +114,7 @@ def test_featurize_matches_reference(layouts, pool, strategy, budget):
     pairs = build_pairs(docs)
     vocab = _vocabulary()
     truncation = TruncationConfig(budget=budget, strategy=strategy)
-    actual = featurize(pairs, vocab, truncation)
+    actual = featurize_pairs(pairs, vocab, truncation)
     assert len(actual) == len(pairs)
     _assert_same(actual, ref.featurize(pairs, vocab, truncation))
 
@@ -128,13 +128,13 @@ def test_featurize_with_cut_and_uncut_pairs_matches_reference(strategy):
     pairs = build_pairs([doc])
     vocab = _vocabulary()
     truncation = TruncationConfig(budget=12, strategy=strategy)
-    _assert_same(featurize(pairs, vocab, truncation), ref.featurize(pairs, vocab, truncation))
+    _assert_same(featurize_pairs(pairs, vocab, truncation), ref.featurize(pairs, vocab, truncation))
 
 
 def test_same_text_under_two_vocabularies():
     """A side block computed under one vocabulary is never served under another."""
     first = _vocabulary()
-    second = fit_vocabulary(CORPUS[:2] + ["zebra quagga cat"], {"the"})
+    second = fit_texts(CORPUS[:2] + ["zebra quagga cat"], {"the"})
     assert first.size != second.size
     text = "The zebra and the cat, café?"
     pairs = [
@@ -153,7 +153,7 @@ def test_repeated_non_consecutive_paragraphs():
     pairs = build_pairs([doc])
     vocab = _vocabulary()
     truncation = TruncationConfig()
-    _assert_same(featurize(pairs, vocab, truncation), ref.featurize(pairs, vocab, truncation))
+    _assert_same(featurize_pairs(pairs, vocab, truncation), ref.featurize(pairs, vocab, truncation))
 
 
 def _training_path(docs, stopwords, truncation):
@@ -218,7 +218,7 @@ def _assert_model_matches_reference(docs, truncation, labels, cfg):
     assert model.bias.hex() == expected.bias.hex()
     assert hinge_objective(model, table_features, labels).hex() == ref.hinge_objective(expected, vectors, labels).hex()
     scores = [ref.score(expected, vec).hex() for vec in vectors]
-    for features in (table_features, featurize(pairs, vocab, truncation)):
+    for features in (table_features, ParagraphTable(truncation, vocab.stopwords).extend(docs).featurize(vocab)):
         records = predict(model, features, pairs)
         assert [(r.doc_id, r.pair_index) for r in records] == [(p.doc_id, p.pair_index) for p in pairs]
         assert [r.score.hex() for r in records] == scores

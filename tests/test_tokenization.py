@@ -1,26 +1,27 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from styleseam import tokenization
+import scalar_features as ref
+from styleseam.corpus import ParagraphPair
 from styleseam.errors import UsageError
+from styleseam.features import ParagraphTable, fit_vocabulary
 from styleseam.tokenization import (
     CLS,
     SEP,
     TruncationConfig,
     TruncationStrategy,
     assemble_pair_input,
-    keep_counts,
     kept_span,
-    kept_tokens,
     token_count,
     tokenize,
     truncate,
     truncate_longest_first,
     truncate_transition,
 )
+from tables import featurize_pairs
 
 
 def _seq(prefix: str, n: int) -> tuple[str, ...]:
@@ -202,41 +203,35 @@ def test_longest_first_matches_removal_oracle(case):
     assert truncate_longest_first(out_left, out_right, cfg) == (out_left, out_right)
 
 
-# Whitespace runs and non-ASCII letters make characters per token uneven along a
-# text, so the first slice kept_tokens tokenizes often holds too few tokens.
+# Whitespace runs and non-ASCII letters make characters per token uneven along a text.
 UNEVEN_PIECES = ["word", "a1", "İ", "Σ", "東", "İİİ", "ΣΣ", "東東東", ".", "(", "_", "'", " ", "\t\n", " " * 40]
 uneven_texts = st.lists(st.sampled_from(UNEVEN_PIECES), max_size=60).map("".join)
-
-
-def truncate_text(left, right, sizes, cfg):
-    """A pair truncated by `kept_tokens`, from the sides' token counts `sizes`."""
-    keep_left, keep_right = keep_counts(*sizes, cfg)
-    from_end = cfg.strategy is TruncationStrategy.TRANSITION
-    return kept_tokens(left, sizes[0], keep_left, from_end), kept_tokens(right, sizes[1], keep_right, False)
+# Space runs that put all but one token of a side far from its kept end.
+SPACED_LEFT, SPACED_RIGHT = "a b c d e f g h i j" + " " * 300 + "z", "a" + " " * 300 + "b c d e f g h i j k"
 
 
 class TestTruncateText:
-    """`kept_tokens` tokenizes only the kept ends, and equals truncating the whole tokenization."""
+    """A table's cut sides hold the kept tokens of truncating each side's whole tokenization."""
 
     @settings(max_examples=400, deadline=None)
     @given(uneven_texts, uneven_texts, st.integers(2, 40), st.sampled_from(list(TruncationStrategy)))
+    @example(SPACED_LEFT, SPACED_RIGHT, 8, TruncationStrategy.TRANSITION)
+    @example(SPACED_LEFT, SPACED_RIGHT, 8, TruncationStrategy.LONGEST_FIRST)
+    @example(SPACED_LEFT.replace("z", "Σ"), SPACED_RIGHT.replace("a", "東"), 8, TruncationStrategy.TRANSITION)
+    @example("a b", " ".join("cdefghijklmnopqrstuvwxyz"), 4, TruncationStrategy.LONGEST_FIRST)  # left within its share
+    @example("İ b", " ".join("cdefghijklmnopqrstuvwxyΣ"), 4, TruncationStrategy.LONGEST_FIRST)
     def test_matches_truncate_of_tokenize(self, left, right, budget, strategy):
+        """The pair's vector from a fitting and from a predicting table is the scalar reference's."""
         cfg = TruncationConfig(budget=budget, strategy=strategy)
-        sizes = (token_count(left), token_count(right))
-        assert truncate_text(left, right, sizes, cfg) == truncate(tokenize(left), tokenize(right), cfg)
-
-    @pytest.mark.parametrize("strategy", list(TruncationStrategy))
-    def test_short_slice_is_doubled(self, monkeypatch, strategy):
-        # A long space run keeps all but one token far from where a first slice ends, so it is doubled.
-        left = "a b c d e f g h i j" + " " * 300 + "z"
-        right = "a" + " " * 300 + "b c d e f g h i j k"
-        cfg = TruncationConfig(budget=8, strategy=strategy)
-        sliced = []
-        monkeypatch.setattr(tokenization, "tokenize", lambda text: sliced.append(text) or tokenize(text))
-        sizes = (token_count(left), token_count(right))
-        assert truncate_text(left, right, sizes, cfg) == truncate(tokenize(left), tokenize(right), cfg)
-        assert len(sliced) > 2
-        assert all(left.startswith(text) or left.endswith(text) or right.startswith(text) for text in sliced)
+        pair = ParagraphPair(doc_id=0, pair_index=0, left=left, right=right)
+        fitting = ParagraphTable(cfg, fit=True)
+        fitting.add((left, right), (None,))
+        vocab = fit_vocabulary(fitting)
+        [expected] = ref.featurize([pair], vocab, cfg)
+        for features in (fitting.featurize(vocab), featurize_pairs([pair], vocab, cfg)):
+            [actual] = ref.vectors(features)
+            assert actual.indices.tobytes() == expected.indices.tobytes()
+            assert actual.values.tobytes() == expected.values.tobytes()
 
     @settings(max_examples=300, deadline=None)
     @given(st.text(alphabet=st.characters(max_codepoint=127), max_size=40), st.data())
@@ -251,14 +246,6 @@ class TestTruncateText:
             assert tokenize(text[start:stop]) == kept
             assert stop == len(text) if from_end else start == 0
             assert words == sum(token.isalnum() for token in kept)
-
-    def test_side_within_its_share_is_tokenized_whole(self, monkeypatch):
-        sliced = []
-        monkeypatch.setattr(tokenization, "tokenize", lambda text: sliced.append(text) or tokenize(text))
-        cfg = TruncationConfig(budget=4, strategy=TruncationStrategy.LONGEST_FIRST)
-        right = " ".join("cdefghijklmnopqrstuvwxyz")
-        assert truncate_text("a b", right, (2, 24), cfg) == (("a", "b"), ("c", "d"))
-        assert sliced[0] == "a b" and right.startswith(sliced[1]) and len(sliced[1]) < len(right)
 
 
 class TestAssemblePairInput:
