@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from styleseam import cli
+from styleseam import cli, corpus
 from synthdata import generate_corpus
 
 
@@ -728,6 +728,36 @@ def test_stray_file_warned_once(capsys, caplog, pan_fixture, tmp_path, command):
     warnings = [r.getMessage() for r in caplog.records if "ignoring stray file" in r.getMessage()]
     assert len(warnings) == 1
     assert warnings[0].endswith("dataset-info.md")
+
+
+@pytest.mark.parametrize("command", ["stats", "train"])
+def test_truth_files_are_read_before_the_first_document(capsys, caplog, tmp_path, command):
+    """With a bad problem file and a bad truth file, the truth file's error is the one reported."""
+    split = tmp_path / "easy" / "train"
+    split.mkdir(parents=True)
+    (split / "problem-1.txt").write_text("\n", encoding="utf-8")
+    (split / "problem-2.txt").write_text("A\nB\n", encoding="utf-8")
+    (split / "truth-problem-1.json").write_text('{"changes": []}', encoding="utf-8")
+    (split / "truth-problem-2.json").write_text("{", encoding="utf-8")
+    out = ["--out", tmp_path / "out"] if command == "train" else []
+    code, _ = run_cli(capsys, command, "--dataset-root", tmp_path, "--difficulty", "easy", *out)
+    assert code == 2
+    [error] = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+    assert error.startswith(f"truth file {split / 'truth-problem-2.json'} is not valid JSON"), error
+
+
+@pytest.mark.parametrize("command", ["stats", "random-baseline"])
+def test_split_commands_read_no_whole_split(capsys, monkeypatch, pan_fixture, tmp_path, command):
+    """`stats` and `random-baseline` take a split's documents one at a time, as `train` and `predict` do."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a command held a whole split")
+
+    monkeypatch.setattr(corpus, "load_documents", refuse)
+    monkeypatch.setattr(corpus, "build_pairs", refuse)
+    argv = [command, "--dataset-root", pan_fixture, "--difficulty", "easy", "--split", "validation"]
+    code, _ = run_cli(capsys, *argv, *(["--out", tmp_path / "out"] if command == "random-baseline" else []))
+    assert code == 0
 
 
 def test_non_utf8_problem_next_to_truth_is_exit_2(capsys, tmp_path):

@@ -4,6 +4,8 @@ The digests were taken from the pipeline before featurization moved to a
 paragraph table; any change to how features are computed must keep them.
 The non-ASCII corpus's digests were taken before train and predict streamed
 their documents and cut a truncated side's row out of its paragraph's scan.
+The `stats` and `random-baseline` digests were taken before those two
+commands streamed their documents.
 `model.json` and `predictions.ndjson` are not pinned: their last bits depend
 on the CPU's BLAS dot kernel.
 """
@@ -45,6 +47,12 @@ EXPECTED = {
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _manifest(directory: Path) -> bytes:
+    """Every solution file's name and sha256, one line each, for one digest over them all."""
+    solutions = sorted(directory.glob("solution-problem-*.json"))
+    return "".join(f"{path.name} {_sha256(path.read_bytes())}\n" for path in solutions).encode()
 
 
 # Non-ASCII words the non-ASCII corpus inserts: a sigma before punctuation lowercases to a final
@@ -89,6 +97,44 @@ def non_ascii_corpus(tmp_path_factory) -> Path:
     return root
 
 
+# corpus -> (stats stdout and stderr on train and validation, random-baseline's predictions.ndjson, its solution files)
+SPLIT_EXPECTED = {
+    "pan_fixture": (
+        "76d8e852517866db0979d0ba83ddc55b287a478c6cc11272448b3a7790fb0080",
+        "59c3ebc2176d02c9c5fdb5c753a9fcf22dd00b0c87cae6a7ba8469c3d92a4488",
+        "08b3cb983dc8e1beb934a50617215260f4bb8c5a85b29b02190169179835c221",
+    ),
+    "synth_corpus": (
+        "0538fc12f7e19d72b55a1e0e0f10da8ada0219605d1aa862e3c0be89840ce085",
+        "8f7c772cf4cccea670301152a6512c52896cadc76bc60a13078b3d7d1233d695",
+        "edde3ba81166fd06baebd040d2be490e2df1e7cbb644ff099be100f1d9b582f0",
+    ),
+    "non_ascii_corpus": (
+        "53a5d568732036accb6c05b4a9503a13ff65606ef34ceaf94fd7d60baddee3ee",
+        "269d5f05ecd72541d7330c1a906f0cde48a163bfd58d237e237e4a5ae478f392",
+        "5345cc04f5975b0e41fa9830bc6906fa6a89ee0687ef205c88ad45af7b99adb5",
+    ),
+}
+
+
+@pytest.mark.parametrize("corpus", list(SPLIT_EXPECTED))
+def test_stats_and_random_baseline_match_recorded_digests(request, tmp_path, capsys, corpus):
+    """`stats` over every difficulty the corpus has, and `random-baseline` on its easy validation split."""
+    root = request.getfixturevalue(corpus)
+    difficulty = "all" if corpus == "pan_fixture" else "easy"
+    stats = ""
+    for split in ("train", "validation"):
+        assert cli.main(["stats", "--dataset-root", str(root), "--difficulty", difficulty, "--split", split]) == 0
+        captured = capsys.readouterr()
+        stats += f"{captured.out}\0{captured.err}\0"
+    out = tmp_path / "random"
+    data = ["--dataset-root", str(root), "--difficulty", "easy", "--split", "validation"]
+    assert cli.main(["random-baseline", *data, "--seed", "7", "--out", str(out)]) == 0
+    predictions = (out / cli.PREDICTIONS_FILENAME).read_bytes()
+    actual = (_sha256(stats.encode()), _sha256(predictions), _sha256(_manifest(out)))
+    assert actual == SPLIT_EXPECTED[corpus]
+
+
 @pytest.mark.parametrize(("strategy", "budget"), list(EXPECTED))
 def test_outputs_match_recorded_digests(synth_corpus, tmp_path, caplog, capsys, strategy, budget):
     assert _outputs(synth_corpus, 50, tmp_path, caplog, capsys, strategy, budget) == EXPECTED[(strategy, budget)]
@@ -119,13 +165,10 @@ def _outputs(root, documents, tmp_path, caplog, capsys, strategy, budget, flags=
     assert cli.main(evaluate) == 0
     capsys.readouterr()
 
-    solutions = sorted(pred_dir.glob("solution-problem-*.json"))
-    assert len(solutions) == documents
-    # One digest over every solution file's name and sha256.
-    manifest = "".join(f"{path.name} {_sha256(path.read_bytes())}\n" for path in solutions)
+    assert len(list(pred_dir.glob("solution-problem-*.json"))) == documents
     return (
         _sha256((model_dir / cli.VOCABULARY_FILENAME).read_bytes()),
-        _sha256(manifest.encode()),
+        _sha256(_manifest(pred_dir)),
         _sha256((pred_dir / cli.REPORT_FILENAME).read_bytes()),
         objective,
     )
