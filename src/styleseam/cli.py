@@ -67,6 +67,7 @@ def _single_difficulty(args: argparse.Namespace) -> Difficulty:
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
+    """--out, created once there are results to write, so that a failed command leaves no directory."""
     args.out.mkdir(parents=True, exist_ok=True)
     return args.out
 
@@ -109,8 +110,9 @@ def cmd_stats(args: argparse.Namespace) -> int:
     payload: dict[str, dict[str, dict[str, int | None]]] = {}
     for difficulty in _difficulties(args):
         directory, listing = _split(args, difficulty)
-        docs = corpus.load_documents(directory, difficulty, listing)
-        stats = corpus.compute_stats(docs, corpus.load_truth(directory, docs, listing) or None)  # none: unlabeled
+        truths = corpus.load_truth(directory, listing=listing, check_lengths=False) or None  # none: unlabeled
+        docs = corpus.iter_documents(directory, difficulty, listing)  # lengths are checked as documents stream
+        stats = corpus.compute_stats(docs, truths)
         docs_n, pairs_n, zeros, ones = stats.document_count, stats.pair_count, stats.zeros_count, stats.ones_count
         payload[difficulty.value] = {args.split: {"documents": docs_n, "pairs": pairs_n, "zeros": zeros, "ones": ones}}
         labels = "unlabeled" if ones is None else f"zeros {zeros}, ones {ones}"
@@ -127,15 +129,15 @@ def cmd_train(args: argparse.Namespace) -> int:
     truncation = _truncation(args)
     train_config = _train_config(args)
     difficulty = _single_difficulty(args)
-    out = _out_dir(args)
 
     directory, listing = _split(args, difficulty)
-    truths = corpus.load_truth(directory, documents=(), listing=listing)  # lengths are checked as documents stream
+    truths = corpus.load_truth(directory, listing=listing, check_lengths=False)  # checked as documents stream
     docs = corpus.iter_documents(directory, difficulty, listing)
     fit = model_mod.train_split(docs, truths, features.load_stopwords(args.stopwords), truncation, train_config)
     logger.info("fitted vocabulary: %d terms over %d paragraphs", fit.vocabulary.size, fit.vocabulary.document_count)
     scores = (fit.objective, fit.correct / fit.pair_count, fit.correct, fit.pair_count)
     logger.info("final training objective %.6f, training accuracy %.4f (%d/%d)", *scores)
+    out = _out_dir(args)
     model_mod.save_model(fit.model, out / MODEL_FILENAME)
     features.save_vocabulary(fit.vocabulary, out / VOCABULARY_FILENAME)
     logger.info("wrote %s and %s", out / MODEL_FILENAME, out / VOCABULARY_FILENAME)
@@ -147,24 +149,22 @@ def cmd_predict(args: argparse.Namespace) -> int:
     from . import features
     truncation = _truncation(args)
     difficulty = _single_difficulty(args)
-    out = _out_dir(args)
 
     trained = model_mod.load_model(args.model)
     vocab = features.load_vocabulary(args.vocab or args.model.parent / VOCABULARY_FILENAME)
 
     directory, listing = _split(args, difficulty)
     records = model_mod.predict_split(trained, vocab, corpus.iter_documents(directory, difficulty, listing), truncation)
-    return _write_predictions(records, out)
+    return _write_predictions(records, _out_dir(args))
 
 
 def cmd_random_baseline(args: argparse.Namespace) -> int:
     """Seeded coin-flip predictions for a split, in the same output layout."""
     seed = _train_config(args).seed
     difficulty = _single_difficulty(args)
-    out = _out_dir(args)
     directory, listing = _split(args, difficulty)
-    records = model_mod.random_baseline(corpus.build_pairs(corpus.load_documents(directory, difficulty, listing)), seed)
-    return _write_predictions(records, out)
+    records = model_mod.random_baseline(corpus.pair_keys(corpus.iter_documents(directory, difficulty, listing)), seed)
+    return _write_predictions(records, _out_dir(args))
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -179,8 +179,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     text = evaluation.report_to_json(report)
     print(text)
     if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
-        (args.out / REPORT_FILENAME).write_text(text + "\n", encoding="utf-8")
+        (_out_dir(args) / REPORT_FILENAME).write_text(text + "\n", encoding="utf-8")
     return 0
 
 

@@ -240,7 +240,7 @@ def iter_documents(directory: str | Path, difficulty: Difficulty, listing: Listi
 
 
 def load_documents(directory: str | Path, difficulty: Difficulty, listing: Listing | None = None) -> list[Document]:
-    """All the documents `iter_documents` reads, in a list."""
+    """All the documents `iter_documents` reads, in a list; no command calls it, but perfbench wraps it by name."""
     return list(iter_documents(directory, difficulty, listing))
 
 
@@ -258,24 +258,20 @@ def _parse_truth(path: Path, doc_id: int) -> TruthRecord:
 
 
 def load_truth(
-    directory: str | Path, documents: Sequence[Document] | None = None, listing: Listing | None = None
+    directory: str | Path, *, listing: Listing | None = None, check_lengths: bool = True
 ) -> list[TruthRecord]:
     """Load all truth-problem-<N>.json files in `directory` (or in its `listing`), ordered by ascending N.
 
-    The changes length is checked against the paragraph count of document N:
-    taken from `documents` when given, else read from the sibling
-    problem-<N>.txt if it exists (an undecodable sibling is a FormatError).
+    With `check_lengths`, the changes length is checked against the paragraph count of the sibling
+    problem-<N>.txt if it exists (an undecodable sibling is a FormatError). Without, no problem file
+    is read: for callers that stream the documents, whose lengths `pair_labels` checks.
     """
     problems, truth_files = listing or list_split(directory)
-    paragraph_counts = {} if documents is None else {doc.id: len(doc.paragraphs) for doc in documents}
     records = []
     for doc_id in sorted(truth_files):
-        record = _parse_truth(truth_files[doc_id], doc_id)
-        if documents is None and doc_id in problems:
-            paragraph_counts[doc_id] = len(split_paragraphs(read_text(problems[doc_id])))
-        if doc_id in paragraph_counts:
-            _check_length(record, paragraph_counts[doc_id])
-        records.append(record)
+        records.append(_parse_truth(truth_files[doc_id], doc_id))
+        if check_lengths and doc_id in problems:
+            _check_length(records[-1], len(split_paragraphs(read_text(problems[doc_id]))))
     return records
 
 
@@ -304,8 +300,8 @@ def build_pairs(docs: Iterable[Document], truths: Sequence[TruthRecord] | None =
 
     With `truths` given, each pair carries the gold label for its transition;
     without, labels are None (explicit unlabeled mode, nothing defaults to 0).
-    Truth records for unknown documents are ignored; a document without a
-    truth record, or a length mismatch, is a FormatError.
+    Truth records for unknown documents are ignored; a document without a truth record,
+    or a length mismatch, is a FormatError. No command calls it; perfbench wraps it by name.
     """
     by_id = None if truths is None else {t.doc_id: t for t in truths}
     return [
@@ -315,13 +311,20 @@ def build_pairs(docs: Iterable[Document], truths: Sequence[TruthRecord] | None =
     ]
 
 
-def compute_stats(docs: Sequence[Document], truths: Sequence[TruthRecord] | None = None) -> SplitStats:
-    """Count the documents and pairs of a split and, with `truths`, the pairs of each label.
+def pair_keys(docs: Iterable[Document]) -> Iterator[PairKey]:
+    """The key of every pair of `docs`, in order, taking the documents one at a time."""
+    return (PairKey(doc.id, i) for doc in docs for i in range(len(doc.paragraphs) - 1))
+
+
+def compute_stats(docs: Iterable[Document], truths: Sequence[TruthRecord] | None = None) -> SplitStats:
+    """Count the documents, which may stream, and pairs of a split and, with `truths`, the pairs of each label.
 
     Without `truths` the label counts are None. With them, a document without
-    a truth record or of the wrong length is a FormatError, as in `build_pairs`.
+    a truth record or of the wrong length is a FormatError, from `pair_labels`.
     """
-    pairs = build_pairs(docs, truths)
-    ones = None if truths is None else sum(pair.label == 1 for pair in pairs)
-    zeros = None if ones is None else len(pairs) - ones
-    return SplitStats(document_count=len(docs), pair_count=len(pairs), zeros_count=zeros, ones_count=ones)
+    by_id = None if truths is None else {t.doc_id: t for t in truths}
+    labels = [pair_labels(doc, by_id) for doc in docs]  # a record's own changes, or a list of None
+    pairs = sum(map(len, labels))
+    ones = None if truths is None else sum(changes.count(1) for changes in labels)
+    zeros = None if ones is None else pairs - ones
+    return SplitStats(document_count=len(labels), pair_count=pairs, zeros_count=zeros, ones_count=ones)

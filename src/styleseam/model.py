@@ -277,11 +277,10 @@ def predict_split(
     return predict(model, table.featurize(vocab), [*map(PairKey, table.doc_ids, table.pair_indices)])
 
 
-def random_baseline(pairs: Sequence[ParagraphPair], seed: int) -> list[PredictionRecord]:
-    """Uniform coin-flip labels per pair from a seeded generator; score = label."""
-    rng = random.Random(seed)
-    labels = [rng.randrange(2) for _ in pairs]
-    return [PredictionRecord(p.doc_id, p.pair_index, float(label), label, "random") for p, label in zip(pairs, labels)]
+def random_baseline(pairs: Iterable[ParagraphPair | PairKey], seed: int) -> list[PredictionRecord]:
+    """Uniform coin-flip labels per pair, in order, from a seeded generator; score = label; reads only the keys."""
+    flip = random.Random(seed).randrange
+    return [PredictionRecord(p.doc_id, p.pair_index, float(coin), coin, "random") for p in pairs for coin in [flip(2)]]
 
 
 def load_external_predictions(path: str | Path) -> list[PredictionRecord]:

@@ -68,9 +68,7 @@ _ASCII_CLASSES = bytes(ord("a" if chr(c).isalnum() else " " if chr(c).isspace() 
 
 
 def token_count(text: str) -> int:
-    """`len(tokenize(text))`; ASCII text is counted without a regex scan."""
-    if not text.isascii():
-        return len(tokenize(text))
+    """`len(tokenize(text))` of ASCII `text`, counted without a regex scan; other text raises UnicodeEncodeError."""
     # With the leading space, and punctuation read as space, every alphanumeric run starts at a b" a".
     classes = (" " + text).encode("ascii").translate(_ASCII_CLASSES)
     return classes.count(b".") + classes.replace(b".", b" ").count(b" a")

@@ -194,7 +194,7 @@ class TestTrain:
         assert code == 2
         assert [r.getMessage() for r in errors] == ["too many training steps to take as a float; give fewer epochs"]
         assert errors[0].exc_info is None
-        assert not (out / cli.MODEL_FILENAME).exists()
+        assert not out.exists()
 
 
 class TestPredictAndEvaluate:
@@ -442,7 +442,7 @@ class TestPredictAndEvaluate:
 class TestBadDocumentLateInASplit:
     """train and predict stream a split's documents, so a bad last one surfaces after the others were scanned.
 
-    Each still exits 2 with the error it gave when every document was read first, and writes nothing.
+    Each still exits 2 with the error it gave when every document was read first, and leaves no output directory.
     """
 
     @staticmethod
@@ -474,7 +474,7 @@ class TestBadDocumentLateInASplit:
         assert code == 2
         [error] = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
         assert re.search(message, error), error
-        assert list((tmp_path / "model").iterdir()) == []
+        assert not (tmp_path / "model").exists()
 
     @pytest.mark.parametrize("case", ["empty problem file", "truth of the wrong length", "no truth file"])
     def test_predict_exits_2_on_an_empty_document_and_reads_no_truth(self, capsys, caplog, trained, tmp_path, case):
@@ -490,7 +490,7 @@ class TestBadDocumentLateInASplit:
         assert code == 2
         [error] = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
         assert error.endswith("problem-10.txt contains no nonempty paragraphs")
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
 
 class TestRandomBaselineCommand:

@@ -13,8 +13,11 @@ from styleseam.corpus import (
     TruthRecord,
     build_pairs,
     compute_stats,
+    iter_documents,
+    list_split,
     load_documents,
     load_truth,
+    pair_labels,
     split_directory,
     split_paragraphs,
 )
@@ -136,10 +139,9 @@ class TestLoadTruth:
         with pytest.raises(FormatError, match="not valid UTF-8"):
             load_truth(tmp_path)
 
-    def test_documents_replace_sibling_reads(self, tmp_path, monkeypatch):
-        _write_doc(tmp_path, 4, ["A", "B", "C"])
+    def test_without_length_checks_reads_no_problem_file(self, tmp_path, monkeypatch):
+        _write_doc(tmp_path, 4, ["A", "B"])
         _write_truth(tmp_path, 4, {"authors": 2, "changes": [1, 0]})
-        docs = load_documents(tmp_path, Difficulty.EASY)
         read = []
         read_text = Path.read_text
 
@@ -148,12 +150,16 @@ class TestLoadTruth:
             return read_text(path, *args, **kwargs)
 
         monkeypatch.setattr(Path, "read_text", recording)
-        assert load_truth(tmp_path, docs) == [TruthRecord(doc_id=4, authors=2, changes=(1, 0))]
-        assert read == ["truth-problem-4.json"]
-        # the length check now runs against the given documents
-        short = [Document(id=4, difficulty=Difficulty.EASY, paragraphs=("A", "B"))]
+        for listing in (None, list_split(tmp_path)):
+            records = load_truth(tmp_path, listing=listing, check_lengths=False)
+            assert records == [TruthRecord(doc_id=4, authors=2, changes=(1, 0))]
+        assert read == ["truth-problem-4.json"] * 2
+        # the stream checks the length instead, as each document is reached
+        [doc] = iter_documents(tmp_path, Difficulty.EASY)
         with pytest.raises(FormatError, match="document 4: 2 changes for 2 paragraphs"):
-            load_truth(tmp_path, short)
+            pair_labels(doc, {4: records[0]})
+        with pytest.raises(FormatError, match="document 4: 2 changes for 2 paragraphs"):
+            load_truth(tmp_path)
 
     def test_missing_authors_defaults_to_one(self, tmp_path):
         _write_truth(tmp_path, 6, {"changes": [0]})
@@ -254,6 +260,7 @@ class TestComputeStats:
         assert stats.document_count == len(docs)
         assert stats.zeros_count + stats.ones_count == stats.pair_count
         assert compute_stats(docs).pair_count == expected_pairs
+        assert compute_stats(iter(docs), truths) == stats  # a stream of documents counts alike
 
 
 def test_split_directory_layout(tmp_path):

@@ -273,9 +273,9 @@ def test_model_with_cut_uncut_and_repeated_paragraphs(strategy):
 def test_model_on_synthetic_corpus_close_to_dense_shrink(synth_corpus, strategy, budget):
     split = synth_corpus / "easy" / "train"
     docs = load_documents(split, Difficulty.EASY)
-    pairs = build_pairs(docs, load_truth(split, docs))
+    pairs = build_pairs(docs, load_truth(split))
     table = ParagraphTable(TruncationConfig(budget=budget, strategy=strategy), STOPWORDS, fit=True)
-    table.extend(docs, {t.doc_id: t for t in load_truth(split, docs)})
+    table.extend(docs, {t.doc_id: t for t in load_truth(split)})
     features = table.featurize(fit_vocabulary(table))
     assert table.labels == [p.label for p in pairs] and [*zip(table.doc_ids, table.pair_indices)] == [(p.doc_id, p.pair_index) for p in pairs]
     _assert_close_to_dense_shrink(features, pairs, table.labels, TrainConfig())

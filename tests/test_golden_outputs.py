@@ -97,7 +97,7 @@ def non_ascii_corpus(tmp_path_factory) -> Path:
     return root
 
 
-# corpus -> (stats stdout and stderr on train and validation, random-baseline's predictions.ndjson, its solution files)
+# corpus -> (stats stdout and stderr of train and validation, random-baseline's predictions.ndjson and solution files)
 SPLIT_EXPECTED = {
     "pan_fixture": (
         "76d8e852517866db0979d0ba83ddc55b287a478c6cc11272448b3a7790fb0080",

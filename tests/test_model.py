@@ -16,6 +16,7 @@ from synthdata import generate_corpus
 from styleseam import cli
 from styleseam.corpus import (
     Difficulty, Document, ParagraphPair, TruthRecord, build_pairs, iter_documents, load_documents, load_truth,
+    pair_keys,
 )
 from styleseam.errors import DataError, FormatError, StyleSeamError, UsageError
 from styleseam.features import PairFeatures, ParagraphTable, fit_vocabulary, load_stopwords
@@ -290,7 +291,7 @@ class TestTrainSplit:
     def test_equals_the_step_by_step_calls(self, synth_corpus, strategy, budget):
         split = synth_corpus / "easy" / "train"
         docs = load_documents(split, Difficulty.EASY)
-        truths = load_truth(split, docs)
+        truths = load_truth(split)
         stopwords, truncation, cfg = load_stopwords(), TruncationConfig(budget, strategy), TrainConfig(epochs=2)
 
         pairs = build_pairs(docs, truths)
@@ -492,6 +493,11 @@ class TestRandomBaseline:
         records = random_baseline(self._pairs(100_000), 5000)
         fraction = sum(r.label for r in records) / len(records)
         assert 0.495 <= fraction <= 0.505
+
+    def test_a_key_stream_gives_the_records_of_its_pair_list(self, pan_fixture):
+        split = pan_fixture / "easy" / "validation"
+        pairs = build_pairs(load_documents(split, Difficulty.EASY))
+        assert random_baseline(pair_keys(iter_documents(split, Difficulty.EASY)), 5000) == random_baseline(pairs, 5000)
 
 
 class TestExternalPredictions:
