@@ -5,9 +5,9 @@ success, 1 internal failure, 2 user/format error. All randomness funnels
 through --seed so reruns are byte-identical.
 
 A setting resolves as: explicit flag, then --config file key, then
-$STYLE_SEAM_DATASET (dataset root only), then the flag's default, which for
-the truncation and optimizer settings is the TruncationConfig / TrainConfig
-field default.
+$STYLE_SEAM_DATASET (dataset root only), then the flag's default: the
+TruncationConfig / TrainConfig field default, except that `predict` takes
+its truncation from the model file and rejects a setting that disagrees.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ logger = logging.getLogger("styleseam")
 DATASET_ENV_VAR = "STYLE_SEAM_DATASET"
 
 MODEL_FILENAME = "model.json"
-VOCABULARY_FILENAME = "vocabulary.json"
 PREDICTIONS_FILENAME = "predictions.ndjson"
 REPORT_FILENAME = "report.json"
 
@@ -77,10 +76,6 @@ def _given(args: argparse.Namespace, *keys: str) -> dict[str, object]:
     return {key: getattr(args, key) for key in keys if getattr(args, key, None) is not None}
 
 
-def _truncation(args: argparse.Namespace) -> TruncationConfig:
-    return TruncationConfig(**_given(args, "budget", "strategy"))
-
-
 def _train_config(args: argparse.Namespace) -> TrainConfig:
     return TrainConfig(**_given(args, "peak_lr", "epochs", "batch_size", "warmup_ratio", "seed"))
 
@@ -122,11 +117,11 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    """Fit vocabulary and linear model on a labeled split; write both artifacts."""
+    """Fit vocabulary and linear model on a labeled split; write the model file, which holds both."""
     from . import features  # only train and predict load numpy
     if args.split == "test":
         raise UsageError("cannot train on the unlabeled test split")
-    truncation = _truncation(args)
+    truncation = TruncationConfig(**_given(args, "budget", "strategy"))
     train_config = _train_config(args)
     difficulty = _single_difficulty(args)
 
@@ -138,23 +133,22 @@ def cmd_train(args: argparse.Namespace) -> int:
     scores = (fit.objective, fit.correct / fit.pair_count, fit.correct, fit.pair_count)
     logger.info("final training objective %.6f, training accuracy %.4f (%d/%d)", *scores)
     out = _out_dir(args)
-    model_mod.save_model(fit.model, out / MODEL_FILENAME)
-    features.save_vocabulary(fit.vocabulary, out / VOCABULARY_FILENAME)
-    logger.info("wrote %s and %s", out / MODEL_FILENAME, out / VOCABULARY_FILENAME)
+    model_mod.save_model(model_mod.SavedModel(fit.model, fit.vocabulary, truncation), out / MODEL_FILENAME)
+    logger.info("wrote %s", out / MODEL_FILENAME)
     return 0
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
-    """Run a trained model over a split; write predictions and solution files."""
-    from . import features
-    truncation = _truncation(args)
+    """Run a trained model over a split, truncated as in training; write predictions and solution files."""
     difficulty = _single_difficulty(args)
-
-    trained = model_mod.load_model(args.model)
-    vocab = features.load_vocabulary(args.vocab or args.model.parent / VOCABULARY_FILENAME)
+    saved = model_mod.load_model(args.model)
+    given, cfg = _given(args, "strategy", "budget"), saved.truncation
+    if any(value != getattr(cfg, key) for key, value in given.items()):
+        flags = " ".join(f"--{key} {value}" for key, value in given.items())
+        raise UsageError(f"{flags}: {args.model} was trained with --strategy {cfg.strategy} --budget {cfg.budget}")
 
     directory, listing = _split(args, difficulty)
-    records = model_mod.predict_split(trained, vocab, corpus.iter_documents(directory, difficulty, listing), truncation)
+    records = model_mod.predict_split(saved, corpus.iter_documents(directory, difficulty, listing))
     return _write_predictions(records, _out_dir(args))
 
 
@@ -221,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     truncation = argparse.ArgumentParser(add_help=False)
     truncation.add_argument("--strategy", type=TruncationStrategy, choices=STRATEGIES)
     truncation.add_argument(
-        "--budget", type=int, help=f"total token budget per pair (default {TruncationConfig.budget})"
+        "--budget", type=int, help=f"total token budget per pair (default {TruncationConfig.budget}, or the model's)"
     )
     seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument("--seed", type=int, help=f"seed for all randomness (default {TrainConfig.seed})")
@@ -244,7 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("predict", cmd_predict, config, dataset, truncation)
     p.add_argument("--model", type=Path, required=True, help="model file from train")
-    p.add_argument("--vocab", type=Path, help="vocabulary file (default: next to model)")
     p.add_argument("--out", type=Path, required=True)
 
     p = command("random-baseline", cmd_random_baseline, config, dataset, seed)

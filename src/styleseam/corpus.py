@@ -190,15 +190,6 @@ def read_json_lines(path: str | Path) -> Iterator[tuple[int, object]]:
             yield lineno, _parse_json(line, f"{path}:{lineno}: invalid JSON")
 
 
-def read_artifact(path: str | Path, what: str, version: int) -> dict:
-    """The JSON object of a versioned artifact whose "version" must be `version`."""
-    payload = read_json(path, f"{what} file")
-    found = payload.get("version") if isinstance(payload, dict) else None
-    if not is_int(found) or found != version:  # not `true` or 1.0, which equal 1
-        raise FormatError(f"unsupported {what} version {found!r} in {path}")
-    return payload
-
-
 WRITE_CHUNK = 4096  # the entries of a streamed list that one json.dumps call spells
 
 

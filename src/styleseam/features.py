@@ -26,16 +26,13 @@ import numpy as np
 # wrappers installed on its attributes (as the tracing benchmark does) see
 # each call.
 from . import tokenization
-from .corpus import Document, ParagraphPair, TruthRecord, is_int, list_chunks, pair_labels, read_artifact, read_text
-from .corpus import write_json
+from .corpus import Document, ParagraphPair, TruthRecord, is_int, list_chunks, pair_labels, read_text
 from .errors import FormatError, UsageError
 from .tokenization import TokenSeq, TruncationConfig, TruncationStrategy
 
 _WORD_RE = re.compile(r"[^\W_]+")
 # Every ASCII character that is not a letter or digit, as a space: the separators of ASCII word tokens.
 _ASCII_SEPARATORS = str.maketrans({chr(c): " " for c in range(128) if not chr(c).isalnum()})
-
-VOCABULARY_FORMAT_VERSION = 1
 
 # Width of one handcrafted block: ?, ., ', () combined, word count.
 HANDCRAFTED_WIDTH = 5
@@ -329,34 +326,33 @@ def pair_features(pair: ParagraphPair, vocab: Vocabulary) -> PairFeatures:
     return table.featurize(vocab)
 
 
-def save_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
-    """Serialize to versioned JSON so train and predict share one vocabulary; the terms are written by chunk."""
-    columns = range(vocab.size)
-    entries = (list(zip(vocab.terms[at], columns[at], vocab.doc_freq[at].tolist())) for at in list_chunks(vocab.size))
-    write_json(path, {
-        "version": VOCABULARY_FORMAT_VERSION,
+def save_vocabulary(vocab: Vocabulary) -> dict[str, object]:
+    """The vocabulary's fields of the model file for `corpus.write_json`, its two lists by column, by chunk."""
+    return {
         "document_count": vocab.document_count,
-        "terms": entries,
         "stopwords": sorted(vocab.stopwords),
-    })
+        "terms": (list(vocab.terms[at]) for at in list_chunks(vocab.size)),
+        "doc_freq": (vocab.doc_freq[at].tolist() for at in list_chunks(vocab.size)),
+    }
 
 
-def load_vocabulary(path: str | Path) -> Vocabulary:
-    payload = read_artifact(path, "vocabulary", VOCABULARY_FORMAT_VERSION)
+def load_vocabulary(payload: Mapping[str, object], path: str | Path) -> Vocabulary:
+    """The vocabulary of the parsed model file `payload`, read from `path`, once its fields check out."""
     try:
-        count, terms, stopwords = payload["document_count"], payload["terms"], payload["stopwords"]
+        count, terms, doc_freq, stopwords = (payload[k] for k in ("document_count", "terms", "doc_freq", "stopwords"))
         if not is_int(count) or count < 1:
-            raise FormatError(f"vocabulary file {path} has document_count {count!r}, not an integer >= 1")
-        for position, (term, col, df) in enumerate(terms):
-            if not (isinstance(term, str) and is_int(col) and is_int(df) and 1 <= df <= count):
-                raise FormatError(f"vocabulary file {path} has a malformed entry {[term, col, df]!r}")
-            if col != position or (position and term <= terms[position - 1][0]):  # ascending, dense columns
-                raise FormatError(f"vocabulary file {path} has entry {position} out of term order or non-dense")
+            raise FormatError(f"model file {path} has document_count {count!r}, not an integer >= 1")
+        if not (isinstance(terms, list) and isinstance(doc_freq, list) and len(terms) == len(doc_freq)):
+            raise FormatError(f"model file {path} is malformed: its terms and doc_freq are not two lists of one length")
+        for column, (term, df) in enumerate(zip(terms, doc_freq)):
+            if not (isinstance(term, str) and is_int(df) and 1 <= df <= count):
+                raise FormatError(f"model file {path} has a malformed entry {[term, df]!r} in column {column}")
+            if column and term <= terms[column - 1]:  # ascending, so a term has one column
+                raise FormatError(f"model file {path} has term {column} out of term order")
         if not isinstance(stopwords, list) or not all(isinstance(word, str) for word in stopwords):
-            raise FormatError(f"vocabulary file {path} has stopwords that are not a list of strings")
-        doc_freq = np.array([df for _, _, df in terms], dtype=np.int64)
-        vocab = Vocabulary(tuple(term for term, _, _ in terms), doc_freq, count, frozenset(stopwords))
+            raise FormatError(f"model file {path} has stopwords that are not a list of strings")
+        vocab = Vocabulary(tuple(terms), np.array(doc_freq, dtype=np.int64), count, frozenset(stopwords))
         vocab.idf_array  # computed here, so a document_count too large for a float is a FormatError
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise FormatError(f"vocabulary file {path} is malformed: {exc}") from exc
+        raise FormatError(f"model file {path} is malformed: {exc}") from exc
     return vocab

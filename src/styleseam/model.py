@@ -18,16 +18,16 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 from . import corpus
-from .corpus import Document, PairKey, ParagraphPair, TruthRecord, is_int, is_number, read_artifact, read_json_lines
+from .corpus import Document, PairKey, ParagraphPair, TruthRecord, is_int, is_number, read_json, read_json_lines
 from .errors import DataError, FormatError, UsageError
+from .tokenization import TruncationConfig, TruncationStrategy
 
 if TYPE_CHECKING:  # only the linear-SVM functions load numpy, so exchange-format commands start without it
     import numpy as np
 
     from .features import PairFeatures, Vocabulary
-    from .tokenization import TruncationConfig
 
-MODEL_FORMAT_VERSION = 2
+MODEL_FORMAT_VERSION = 3
 
 DECISION_THRESHOLD = 0.5
 
@@ -72,6 +72,18 @@ class LinearModel:
     @property
     def dimension(self) -> int:
         return int(self.weights.shape[0])
+
+
+class SavedModel(NamedTuple):
+    """What a model file holds: the model, the vocabulary of its rows, and the truncation it was trained under."""
+
+    model: LinearModel
+    vocabulary: Vocabulary
+    truncation: TruncationConfig
+
+    @property
+    def dimension(self) -> int:
+        return self.model.dimension
 
 
 class PredictionRecord(NamedTuple):
@@ -268,13 +280,11 @@ def predict(
     return [PredictionRecord(p.doc_id, p.pair_index, score, _label(score), source) for p, score in zip(pairs, scores)]
 
 
-def predict_split(
-    model: LinearModel, vocab: Vocabulary, docs: Iterable[Document], truncation: TruncationConfig
-) -> list[PredictionRecord]:
-    """`predict` every pair of `docs` under `vocab`, the documents taken one at a time as `train_split` takes them."""
+def predict_split(saved: SavedModel, docs: Iterable[Document]) -> list[PredictionRecord]:
+    """`predict` every pair of `docs` as `saved` says, the documents taken one at a time as `train_split` takes them."""
     from . import features
-    table = features.ParagraphTable(truncation, vocab.stopwords).extend(docs)
-    return predict(model, table.featurize(vocab), [*map(PairKey, table.doc_ids, table.pair_indices)])
+    table = features.ParagraphTable(saved.truncation, saved.vocabulary.stopwords).extend(docs)
+    return predict(saved.model, table.featurize(saved.vocabulary), [*map(PairKey, table.doc_ids, table.pair_indices)])
 
 
 def random_baseline(pairs: Iterable[ParagraphPair | PairKey], seed: int) -> list[PredictionRecord]:
@@ -367,30 +377,40 @@ def ensemble(
     return combined
 
 
-def save_model(model: LinearModel, path: str | Path) -> None:
-    """Serialize to versioned JSON, the weights as one dense list of `dimension` floats, written by chunk."""
-    w = model.weights
+def save_model(saved: SavedModel, path: str | Path) -> None:
+    """Serialize to versioned JSON: truncation, bias, lambda, vocabulary, then all 2 * (terms + 5) weights, by chunk."""
+    from . import features
     corpus.write_json(path, {
         "version": MODEL_FORMAT_VERSION,
-        "dimension": model.dimension,
-        "bias": model.bias,
-        "lambda": model.l2,
-        "weights": (w[at].tolist() for at in corpus.list_chunks(w.size)),
+        "strategy": saved.truncation.strategy.value,
+        "budget": saved.truncation.budget,
+        "bias": saved.model.bias,
+        "lambda": saved.model.l2,
+        **features.save_vocabulary(saved.vocabulary),
+        "weights": (saved.model.weights[at].tolist() for at in corpus.list_chunks(saved.dimension)),
     })
 
 
-def load_model(path: str | Path) -> LinearModel:
+def load_model(path: str | Path) -> SavedModel:
+    """Read a model file of this version; the vocabulary's fields are checked by `features.load_vocabulary`."""
     import numpy as np
-    payload = read_artifact(path, "model", MODEL_FORMAT_VERSION)
+    from . import features
+    payload = read_json(path, "model file")
+    found = payload.get("version") if isinstance(payload, dict) else None
+    if not is_int(found) or found != MODEL_FORMAT_VERSION:  # an int: not 3.0, which equals 3
+        raise FormatError(f"unsupported model version {found!r} in {path}; retrain to write a version-3 file")
+    vocab = features.load_vocabulary(payload, path)
+    dimension = 2 * (vocab.size + features.HANDCRAFTED_WIDTH)
     try:
-        dimension, bias, l2, weights = payload["dimension"], payload["bias"], payload["lambda"], payload["weights"]
-        if not (is_int(dimension) and is_number(bias) and is_number(l2)):
-            raise FormatError(f"model file {path} needs an integer dimension and numbers for bias and lambda")
+        strategy, budget, bias, l2, weights = (payload[k] for k in ("strategy", "budget", "bias", "lambda", "weights"))
+        if not (is_int(budget) and is_number(bias) and is_number(l2)):
+            raise FormatError(f"model file {path} needs an integer budget and numbers for bias and lambda")
         if not (isinstance(weights, list) and len(weights) == dimension and set(map(type, weights)) <= {int, float}):
-            raise FormatError(f"model file {path} needs its weights as a list of {dimension} numbers")
+            raise FormatError(f"model file {path} needs its weights as a list of {dimension}, 2 x (terms + 5), numbers")
+        truncation = TruncationConfig(budget, TruncationStrategy(strategy))
         model = LinearModel(weights=np.array(weights, dtype=np.float64), bias=float(bias), l2=float(l2))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, UsageError) as exc:
         raise FormatError(f"model file {path} is malformed: {exc}") from exc
     if not np.all(np.isfinite(model.weights)) or not math.isfinite(model.bias):
         raise FormatError(f"model file {path} contains non-finite parameters")
-    return model
+    return SavedModel(model, vocab, truncation)

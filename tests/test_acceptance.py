@@ -366,7 +366,6 @@ def test_criterion_6_pipeline_determinism(synth_corpus, tmp_path):
         files = {}
         for name in (
             out_root / "model" / cli.MODEL_FILENAME,
-            out_root / "model" / cli.VOCABULARY_FILENAME,
             out_root / "pred" / cli.PREDICTIONS_FILENAME,
             out_root / "pred" / cli.REPORT_FILENAME,
         ):

@@ -1,10 +1,11 @@
-"""The model and vocabulary files: streamed writers and the readers `predict` runs.
+"""The model file: its streamed writer and the reader `predict` runs.
 
-`save_model` and `save_vocabulary` write their lists a chunk at a time;
-the bytes must be those of one `json.dumps` of the whole payload, which
-the writers built before they streamed and which is kept here as the
-reference. The fuzz test mutates trained files JSON-aware and requires
-that `predict` either succeeds or exits 2 with one ERROR line, never 1.
+`save_model` writes its lists a chunk at a time, the vocabulary's fields
+as `save_vocabulary` gives them; the bytes must be those of one
+`json.dumps` of the whole payload, which the writers built before they
+streamed and which is kept here as the reference. The fuzz test mutates a
+trained model file JSON-aware and requires that `predict` either succeeds
+or exits 2 with one ERROR line, never 1.
 """
 
 from __future__ import annotations
@@ -18,9 +19,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from styleseam import cli
-from styleseam.corpus import WRITE_CHUNK
-from styleseam.features import VOCABULARY_FORMAT_VERSION, Vocabulary, save_vocabulary
-from styleseam.model import MODEL_FORMAT_VERSION, LinearModel, save_model
+from styleseam.corpus import WRITE_CHUNK, write_json
+from styleseam.features import HANDCRAFTED_WIDTH, Vocabulary, save_vocabulary
+from styleseam.model import MODEL_FORMAT_VERSION, LinearModel, SavedModel, save_model
+from styleseam.tokenization import TruncationConfig, TruncationStrategy
 
 SPECIAL_WEIGHTS = [-0.0, 5e-324, 1e308, 1 / 3]
 # A quote, a backslash, non-ASCII characters and a lone surrogate: each chunk escapes them as json.dumps does.
@@ -28,44 +30,53 @@ SPECIAL_TERMS = ['say"', "back\\slash", "naïve", "東京", "\ud800lone", "\U000
 SIZES = [WRITE_CHUNK - 1, WRITE_CHUNK, WRITE_CHUNK + 1]
 
 
-def reference_model_bytes(model: LinearModel) -> bytes:
-    payload = {"version": MODEL_FORMAT_VERSION, "dimension": model.dimension, "bias": model.bias, "lambda": model.l2}
+def special_vocabulary(size: int, stopwords: frozenset[str] = frozenset()) -> Vocabulary:
+    """`size` sorted terms, every chunk of them holding every kind of special term, with large frequencies."""
+    terms = tuple(f"t{i:05d}{SPECIAL_TERMS[i % len(SPECIAL_TERMS)]}" for i in range(size))
+    rng = np.random.default_rng(size)
+    return Vocabulary(terms, rng.integers(1, 2**40, size=size, dtype=np.int64), 2**40, stopwords)
+
+
+def reference_vocabulary_fields(vocab: Vocabulary) -> dict[str, object]:
+    return {
+        "document_count": vocab.document_count,
+        "stopwords": sorted(vocab.stopwords),
+        "terms": list(vocab.terms),
+        "doc_freq": vocab.doc_freq.tolist(),
+    }
+
+
+def reference_model_bytes(saved: SavedModel) -> bytes:
+    model, truncation = saved.model, saved.truncation
+    payload = {"version": MODEL_FORMAT_VERSION, "strategy": truncation.strategy.value, "budget": truncation.budget}
+    payload.update({"bias": model.bias, "lambda": model.l2, **reference_vocabulary_fields(saved.vocabulary)})
     return json.dumps({**payload, "weights": model.weights.tolist()}).encode("utf-8")
 
 
-def reference_vocabulary_bytes(vocab: Vocabulary) -> bytes:
-    payload = {
-        "version": VOCABULARY_FORMAT_VERSION,
-        "document_count": vocab.document_count,
-        "terms": [[term, col, df] for col, (term, df) in enumerate(zip(vocab.terms, vocab.doc_freq.tolist()))],
-        "stopwords": sorted(vocab.stopwords),
-    }
-    return json.dumps(payload).encode("utf-8")
-
-
-@pytest.mark.parametrize("dimension", [0, 1, *SIZES, 2 * WRITE_CHUNK + 1])
-def test_save_model_writes_the_bytes_of_one_dumps(tmp_path, dimension):
-    rng = np.random.default_rng(dimension)
+@pytest.mark.parametrize("terms", [0, 1, *SIZES, 2 * WRITE_CHUNK + 1])
+def test_save_model_writes_the_bytes_of_one_dumps(tmp_path, terms):
+    dimension = 2 * (terms + HANDCRAFTED_WIDTH)
+    rng = np.random.default_rng(terms)
     weights = rng.normal(size=dimension) * 10.0 ** rng.integers(-300, 300, size=dimension)
     for position, weight in zip((0, WRITE_CHUNK - 1, WRITE_CHUNK, dimension - 1), SPECIAL_WEIGHTS):
         if 0 <= position < dimension:
             weights[position] = weight
     model = LinearModel(weights=weights, bias=-1 / 3, l2=1e-4)
+    truncation = TruncationConfig(7, TruncationStrategy.LONGEST_FIRST)
+    saved = SavedModel(model, special_vocabulary(terms, frozenset({"the", "ünd"})), truncation)
     path = tmp_path / "model.json"
-    save_model(model, path)
-    assert path.read_bytes() == reference_model_bytes(model)
+    save_model(saved, path)
+    assert path.read_bytes() == reference_model_bytes(saved)
 
 
 @pytest.mark.parametrize("stopwords", [frozenset(), frozenset({"the", "ünd", 'a"b'})])
 @pytest.mark.parametrize("size", [0, 1, *SIZES])
 def test_save_vocabulary_writes_the_bytes_of_one_dumps(tmp_path, size, stopwords):
-    # Sorted, and every chunk holds every kind of special term.
-    terms = tuple(f"t{i:05d}{SPECIAL_TERMS[i % len(SPECIAL_TERMS)]}" for i in range(size))
-    rng = np.random.default_rng(size)
-    vocab = Vocabulary(terms, rng.integers(1, 2**40, size=size, dtype=np.int64), 2**40, stopwords)
-    path = tmp_path / "vocabulary.json"
-    save_vocabulary(vocab, path)
-    assert path.read_bytes() == reference_vocabulary_bytes(vocab)
+    """The fields `save_vocabulary` hands `save_model` stream as one dumps of the two lists would spell them."""
+    vocab = special_vocabulary(size, stopwords)
+    path = tmp_path / "fields.json"
+    write_json(path, save_vocabulary(vocab))
+    assert path.read_bytes() == json.dumps(reference_vocabulary_fields(vocab)).encode("utf-8")
 
 
 # Raw JSON text for the replaced values; 1e400 and 10**400 cannot come from json.dumps of a Python value.
@@ -79,15 +90,22 @@ def artifacts(synth_corpus, tmp_path_factory):
     out = tmp_path_factory.mktemp("fuzz-trained")
     argv = ["train", "--dataset-root", str(synth_corpus), "--difficulty", "easy", "--epochs", "1", "--out", str(out)]
     assert cli.main(argv) == 0
-    texts = {name: (out / name).read_text(encoding="utf-8") for name in (cli.MODEL_FILENAME, cli.VOCABULARY_FILENAME)}
-    return synth_corpus, tmp_path_factory.mktemp("fuzz-run"), texts
+    assert sorted(out.iterdir()) == [out / cli.MODEL_FILENAME]
+    text = (out / cli.MODEL_FILENAME).read_text(encoding="utf-8")
+    assert sorted(json.loads(text)) == KEYS  # so the pinned examples change what they say
+    return synth_corpus, tmp_path_factory.mktemp("fuzz-run"), text
 
 
 @st.composite
 def mutations(draw):
-    """(file, steps, action): which artifact, where in it (see `mutate`) and which change."""
-    name = draw(st.sampled_from([cli.MODEL_FILENAME, cli.VOCABULARY_FILENAME]))
-    return name, draw(st.lists(st.integers(0, 2**31), min_size=1, max_size=3)), draw(st.integers(0, 2**31))
+    """(steps, action): where in the model file (see `mutate`) and which change."""
+    return draw(st.lists(st.integers(0, 2**31), min_size=1, max_size=3)), draw(st.integers(0, 2**31))
+
+
+# The first step of a walk picks among the model file's keys in sorted order.
+KEYS = [
+    "bias", "budget", "doc_freq", "document_count", "lambda", "stopwords", "strategy", "terms", "version", "weights"
+]
 
 
 def mutate(text: str, steps: list[int], action: int | str) -> str:
@@ -121,15 +139,16 @@ def mutate(text: str, steps: list[int], action: int | str) -> str:
 
 @settings(max_examples=100, deadline=None)
 @given(mutations())
-@example((cli.VOCABULARY_FILENAME, [0], "1" + "0" * 400))  # document_count 10**400: idf overflows a float
-@example((cli.MODEL_FILENAME, [3], "1"))  # version 1, whose reader is gone
+@example(([KEYS.index("document_count")], "1" + "0" * 400))  # document_count 10**400: idf overflows a float
+@example(([KEYS.index("version")], "2"))  # version 2, whose reader is gone
+@example(([KEYS.index("budget")], "1"))  # a budget TruncationConfig rejects
+@example(([KEYS.index("strategy")], '"middle"'))  # an unknown strategy
+@example(([KEYS.index("terms"), 0], '"\\uffff"'))  # the first term now sorts after the second
+@example(([KEYS.index("doc_freq"), 0], "1000000"))  # a document frequency above document_count
 def test_predict_on_mutated_artifacts_exits_0_or_2(artifacts, mutation):
-    corpus_root, run, texts = artifacts
-    name, steps, action = mutation
-    files = dict(texts)
-    files[name] = mutate(texts[name], steps, action)
-    for filename, text in files.items():
-        (run / filename).write_text(text, encoding="utf-8")
+    corpus_root, run, text = artifacts
+    steps, action = mutation
+    (run / cli.MODEL_FILENAME).write_text(mutate(text, steps, action), encoding="utf-8")
     records: list[logging.LogRecord] = []
     handler = logging.Handler()
     handler.emit = records.append

@@ -104,8 +104,11 @@ class TestStats:
 
 class TestTrain:
     def test_writes_artifacts(self, trained):
-        assert (trained / cli.MODEL_FILENAME).is_file()
-        assert (trained / cli.VOCABULARY_FILENAME).is_file()
+        """One model file, which holds the vocabulary and the truncation too."""
+        assert sorted(trained.iterdir()) == [trained / cli.MODEL_FILENAME]
+        payload = json.loads((trained / cli.MODEL_FILENAME).read_text())
+        assert (payload["version"], payload["strategy"], payload["budget"]) == (3, "transition", 512)
+        assert len(payload["weights"]) == 2 * (len(payload["terms"]) + 5) and "dimension" not in payload
 
     def test_test_split_rejected(self, capsys, synth_corpus, tmp_path):
         code, _ = run_cli(
@@ -200,18 +203,17 @@ class TestTrain:
 class TestPredictAndEvaluate:
     @pytest.mark.parametrize("doc_freq", [-1, "3"])
     def test_bad_document_frequency_is_exit_2(self, capsys, synth_corpus, trained, tmp_path, doc_freq):
-        payload = json.loads((trained / cli.VOCABULARY_FILENAME).read_text())
-        payload["terms"][0][2] = doc_freq
-        vocab = tmp_path / "vocabulary.json"
-        vocab.write_text(json.dumps(payload))
+        payload = json.loads((trained / cli.MODEL_FILENAME).read_text())
+        payload["doc_freq"][0] = doc_freq
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(payload))
         code, _ = run_cli(
             capsys,
             "predict",
             "--dataset-root", synth_corpus,
             "--difficulty", "easy",
             "--split", "validation",
-            "--model", trained / cli.MODEL_FILENAME,
-            "--vocab", vocab,
+            "--model", model,
             "--out", tmp_path / "out",
         )
         assert code == 2
@@ -227,7 +229,6 @@ class TestPredictAndEvaluate:
             "--difficulty", "easy",
             "--split", "validation",
             "--model", model,
-            "--vocab", trained / cli.VOCABULARY_FILENAME,
             "--out", tmp_path / "out",
         )
         assert code == 2
@@ -235,8 +236,9 @@ class TestPredictAndEvaluate:
 
     @pytest.mark.parametrize("bad", ["too-short", '"0.5"', "true", "1e400", "NaN"])
     def test_bad_version_2_weights_are_exit_2(self, capsys, caplog, synth_corpus, trained, tmp_path, bad):
+        """The weights the version-2 reader rejected, the version-3 one rejects too."""
         text = (trained / cli.MODEL_FILENAME).read_text()
-        assert json.loads(text)["version"] == 2
+        assert json.loads(text)["version"] == 3
         head, weights = text.split('"weights": [')
         weights = weights[weights.index(",") + 1 :] if bad == "too-short" else f"{bad}, " + weights
         model = tmp_path / "model.json"
@@ -248,7 +250,6 @@ class TestPredictAndEvaluate:
             "--difficulty", "easy",
             "--split", "validation",
             "--model", model,
-            "--vocab", trained / cli.VOCABULARY_FILENAME,
             "--out", tmp_path / "out",
         )
         assert code == 2
@@ -256,46 +257,44 @@ class TestPredictAndEvaluate:
         assert error.exc_info is None and str(model) in error.getMessage()
 
     def test_out_of_order_vocabulary_is_exit_2(self, capsys, caplog, synth_corpus, trained, tmp_path):
-        payload = json.loads((trained / cli.VOCABULARY_FILENAME).read_text())
-        payload["terms"][1][0] = payload["terms"][0][0]  # a repeated term
-        vocab = tmp_path / "vocabulary.json"
-        vocab.write_text(json.dumps(payload))
+        payload = json.loads((trained / cli.MODEL_FILENAME).read_text())
+        payload["terms"][1] = payload["terms"][0]  # a repeated term
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(payload))
         code, _ = run_cli(
             capsys,
             "predict",
             "--dataset-root", synth_corpus,
             "--difficulty", "easy",
             "--split", "validation",
-            "--model", trained / cli.MODEL_FILENAME,
-            "--vocab", vocab,
+            "--model", model,
             "--out", tmp_path / "out",
         )
         assert code == 2
-        assert "entry 1 out of term order" in caplog.text
+        assert "term 1 out of term order" in caplog.text
 
     def test_document_count_too_large_for_a_float_is_exit_2(self, capsys, caplog, synth_corpus, trained, tmp_path):
-        payload = json.loads((trained / cli.VOCABULARY_FILENAME).read_text())
+        payload = json.loads((trained / cli.MODEL_FILENAME).read_text())
         payload["document_count"] = 10**400
-        vocab = tmp_path / "vocabulary.json"
-        vocab.write_text(json.dumps(payload))
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(payload))
         code, _ = run_cli(
             capsys,
             "predict",
             "--dataset-root", synth_corpus,
             "--difficulty", "easy",
             "--split", "validation",
-            "--model", trained / cli.MODEL_FILENAME,
-            "--vocab", vocab,
+            "--model", model,
             "--out", tmp_path / "out",
         )
         assert code == 2
         [error] = [r for r in caplog.records if r.levelno >= logging.ERROR]
-        assert error.exc_info is None and f"vocabulary file {vocab} is malformed" in error.getMessage()
+        assert error.exc_info is None and f"model file {model} is malformed" in error.getMessage()
 
     def test_nan_margin_is_exit_2_without_predictions(self, capsys, caplog, synth_corpus, trained, tmp_path):
         # Finite weights, so load_model accepts them, whose dot products overflow to NaN.
         payload = json.loads((trained / cli.MODEL_FILENAME).read_text())
-        payload["weights"] = [1.7e308 if i % 2 == 0 else -1.7e308 for i in range(payload["dimension"])]
+        payload["weights"] = [1.7e308 if i % 2 == 0 else -1.7e308 for i in range(len(payload["weights"]))]
         model = tmp_path / "model.json"
         model.write_text(json.dumps(payload))
         out = tmp_path / "out"
@@ -308,7 +307,6 @@ class TestPredictAndEvaluate:
                 "--difficulty", "easy",
                 "--split", "validation",
                 "--model", model,
-                "--vocab", trained / cli.VOCABULARY_FILENAME,
                 "--out", out,
             )
         assert code == 2
@@ -380,23 +378,27 @@ class TestPredictAndEvaluate:
         assert (code, out) == (2, "")
         assert "both name document 1" in caplog.text
 
-    def test_dimension_mismatch_is_exit_2(self, capsys, synth_corpus, trained, tmp_path):
-        from styleseam.features import save_vocabulary
-        from tables import fit_texts
-
-        tiny = tmp_path / "tiny-vocab.json"
-        save_vocabulary(fit_texts(["alpha beta"]), tiny)
+    def test_dimension_mismatch_is_exit_2(self, capsys, caplog, synth_corpus, trained, tmp_path):
+        """Weights that are not 2 x (terms + 5): here the vocabulary lost a term the weights still have."""
+        payload = json.loads((trained / cli.MODEL_FILENAME).read_text())
+        del payload["terms"][-1], payload["doc_freq"][-1]
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps(payload))
+        out = tmp_path / "out"
         code, _ = run_cli(
             capsys,
             "predict",
             "--dataset-root", synth_corpus,
             "--difficulty", "easy",
             "--split", "validation",
-            "--model", trained / cli.MODEL_FILENAME,
-            "--vocab", tiny,
-            "--out", tmp_path / "out",
+            "--model", model,
+            "--out", out,
         )
         assert code == 2
+        dimension = 2 * (len(payload["terms"]) + 5)
+        [error] = [r for r in caplog.records if r.levelno >= logging.ERROR]
+        assert error.exc_info is None and f"weights as a list of {dimension}," in error.getMessage()
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["predict", "random-baseline"])
     def test_one_paragraph_document_is_scored(self, capsys, pan_fixture, tmp_path, command):
@@ -436,6 +438,57 @@ class TestPredictAndEvaluate:
                 "--out", out,
             )
             outputs.append((out / cli.PREDICTIONS_FILENAME).read_bytes())
+        assert outputs[0] == outputs[1]
+
+
+class TestTruncationFromTheModelFile:
+    """`predict` truncates as the model file says; a truncation setting that disagrees with it is an error."""
+
+    TRAINING = ["--strategy", "longest_first", "--budget", "16"]
+
+    @pytest.fixture(scope="class")
+    def cut_model(self, synth_corpus, tmp_path_factory) -> Path:
+        out = tmp_path_factory.mktemp("cut-model")
+        argv = ["train", "--dataset-root", str(synth_corpus), "--difficulty", "easy", *self.TRAINING, "--out", str(out)]
+        assert cli.main(argv) == 0
+        return out / cli.MODEL_FILENAME
+
+    def _predict(self, capsys, synth_corpus, model, out, *settings):
+        dataset = ["--dataset-root", synth_corpus, "--difficulty", "easy", "--split", "validation"]
+        return run_cli(capsys, "predict", *dataset, *settings, "--model", model, "--out", out)[0]
+
+    @pytest.mark.parametrize(
+        ("settings", "given"),
+        [
+            pytest.param(["--strategy", "transition"], "--strategy transition", id="strategy"),
+            pytest.param(["--budget", "17"], "--budget 17", id="budget"),
+            pytest.param(["--strategy", "longest_first", "--budget", "512"], "--strategy longest_first --budget 512",
+                         id="budget-beside-an-agreeing-strategy"),
+            pytest.param({"strategy": "transition"}, "--strategy transition", id="config"),
+        ],
+    )
+    def test_disagreeing_setting_is_exit_2_without_output(
+        self, capsys, caplog, synth_corpus, cut_model, tmp_path, settings, given
+    ):
+        if isinstance(settings, dict):
+            (tmp_path / "run.json").write_text(json.dumps(settings))
+            settings = ["--config", tmp_path / "run.json"]
+        out = tmp_path / "out"
+        assert self._predict(capsys, synth_corpus, cut_model, out, *settings) == 2
+        errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+        expected = f"{given}: {cut_model} was trained with --strategy longest_first --budget 16"
+        assert [r.getMessage() for r in errors] == [expected] and errors[0].exc_info is None
+        assert not out.exists()
+
+    def test_no_settings_predict_as_the_training_settings(self, capsys, synth_corpus, cut_model, tmp_path):
+        outputs = []
+        for name, settings in (("bare", []), ("training", self.TRAINING)):
+            out = tmp_path / name
+            assert self._predict(capsys, synth_corpus, cut_model, out, *settings) == 0
+            solutions = sorted(out.glob("solution-problem-*.json"))
+            assert len(solutions) == 50
+            files = [out / cli.PREDICTIONS_FILENAME, *solutions]
+            outputs.append({path.name: path.read_bytes() for path in files})
         assert outputs[0] == outputs[1]
 
 
@@ -696,8 +749,7 @@ class TestConfigFile:
             "--out", flags,
         )
         assert code == 0
-        for name in (cli.MODEL_FILENAME, cli.VOCABULARY_FILENAME):
-            assert (model / name).read_bytes() == (flags / name).read_bytes()
+        assert (model / cli.MODEL_FILENAME).read_bytes() == (flags / cli.MODEL_FILENAME).read_bytes()
 
 
 class TestRejectedFlags:
@@ -782,8 +834,6 @@ def test_synthetic_corpus_is_loadable(synth_corpus, capsys):
     assert payload["easy"]["train"]["ones"] > 10
 
 
-MODEL = json.dumps({"version": 2, "dimension": 12, "bias": 0.0, "lambda": 0.0001, "weights": [0.0] * 12})
-VOCABULARY = '{"version": 1, "document_count": 1, "terms": [["a", 0, 1]], "stopwords": []}'
 PREDICTION = '{"doc_id": 1, "pair_index": 0, "score": 0.9, "source": "m"}\n'
 
 
@@ -817,21 +867,10 @@ def _ensemble_predictions_case(tmp_path, pan_fixture):
     return bad, ["ensemble", *files, "--mode", "softmax_mean", "--out", tmp_path / "out"]
 
 
-def _predict_argv(tmp_path, pan_fixture, model, vocab):
-    split = ["--dataset-root", pan_fixture, "--difficulty", "easy", "--split", "validation"]
-    return ["predict", *split, "--model", model, "--vocab", vocab, "--out", tmp_path / "out"]
-
-
 def _model_case(tmp_path, pan_fixture):
-    (tmp_path / "vocabulary.json").write_text(VOCABULARY)
     bad = tmp_path / "model.json"
-    return bad, _predict_argv(tmp_path, pan_fixture, bad, tmp_path / "vocabulary.json")
-
-
-def _vocabulary_case(tmp_path, pan_fixture):
-    (tmp_path / "model.json").write_text(MODEL)
-    bad = tmp_path / "vocabulary.json"
-    return bad, _predict_argv(tmp_path, pan_fixture, tmp_path / "model.json", bad)
+    split = ["--dataset-root", pan_fixture, "--difficulty", "easy", "--split", "validation"]
+    return bad, ["predict", *split, "--model", bad, "--out", tmp_path / "out"]
 
 
 def _stopwords_case(tmp_path, pan_fixture):
@@ -854,7 +893,6 @@ INPUT_FILES = {
     "predictions-solutions": (_solutions_predictions_case, True),
     "predictions-ensemble": (_ensemble_predictions_case, True),
     "model": (_model_case, True),
-    "vocabulary": (_vocabulary_case, True),
     "stopwords": (_stopwords_case, False),
     "config": (_config_case, True),
 }

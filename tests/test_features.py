@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from styleseam import features, tokenization
-from styleseam.corpus import Difficulty, Document, ParagraphPair, build_pairs
+from styleseam.corpus import Difficulty, Document, ParagraphPair, build_pairs, write_json
 from styleseam.errors import FormatError, UsageError
 from styleseam.features import (
     HANDCRAFTED_WIDTH,
@@ -24,6 +24,7 @@ from styleseam.features import (
     pair_features,
     save_vocabulary,
 )
+from styleseam.model import load_model
 from styleseam.tokenization import TruncationConfig, TruncationStrategy
 
 # The scalar reference's side functions, which the differential tests hold the table path to.
@@ -450,17 +451,20 @@ class TestStopwordsAndSerialization:
         assert load_stopwords(path) == frozenset({"foo", "bar"})
 
     def test_round_trip(self, tmp_path):
+        """`save_vocabulary` gives the fields `load_vocabulary` reads back, once written and parsed."""
         vocab = fit_texts(["cat dog", "dog bird"], {"the"})
-        path = tmp_path / "vocab.json"
-        save_vocabulary(vocab, path)
-        loaded = load_vocabulary(path)
+        path = tmp_path / "fields.json"
+        write_json(path, save_vocabulary(vocab))
+        loaded = load_vocabulary(json.loads(path.read_text(encoding="utf-8")), path)
         assert loaded == vocab
 
     def test_version_check(self, tmp_path):
-        path = tmp_path / "vocab.json"
-        path.write_text('{"version": 99, "document_count": 1, "terms": [], "stopwords": []}')
+        """The vocabulary is read only from a model file of this version."""
+        path = tmp_path / "model.json"
+        fields = {"document_count": 1, "terms": [], "doc_freq": [], "stopwords": []}
+        path.write_text(json.dumps({"version": 99, **fields}))
         with pytest.raises(FormatError, match="version"):
-            load_vocabulary(path)
+            load_model(path)
 
     @pytest.mark.parametrize(
         ("field", "value", "message"),
@@ -468,53 +472,51 @@ class TestStopwordsAndSerialization:
             ("document_count", 0, "document_count"),
             ("document_count", True, "document_count"),
             ("document_count", "2", "document_count"),
-            ("terms", [[1, 0, 1]], "malformed entry"),
-            ("terms", [["a", "0", 1]], "malformed entry"),
-            ("terms", [["a", False, 1]], "malformed entry"),
-            ("terms", [["a", 0, 0]], "malformed entry"),
-            ("terms", [["a", 0, -1]], "malformed entry"),
-            ("terms", [["a", 0, 3]], "malformed entry"),
-            ("terms", [["a", 0, "1"]], "malformed entry"),
-            ("terms", [["a", 0, 1.0]], "malformed entry"),
-            ("terms", [["a", 0]], "malformed"),
+            ("terms", [[1], [1]], "malformed entry"),  # for "terms": the terms, then their document frequencies
+            ("terms", [[None], [1]], "malformed entry"),
+            ("terms", [["a"], [False]], "malformed entry"),
+            ("terms", [["a"], [0]], "malformed entry"),
+            ("terms", [["a"], [-1]], "malformed entry"),
+            ("terms", [["a"], [3]], "malformed entry"),
+            ("terms", [["a"], ["1"]], "malformed entry"),
+            ("terms", [["a"], [1.0]], "malformed entry"),
+            ("terms", [["a"], []], "malformed"),
             ("stopwords", ["the", 1], "stopwords"),
             ("stopwords", "the", "stopwords"),
         ],
     )
     def test_malformed_fields_rejected(self, tmp_path, field, value, message):
-        payload = {"version": 1, "document_count": 2, "terms": [["a", 0, 2]], "stopwords": ["the"]}
-        payload[field] = value
-        path = tmp_path / "vocab.json"
-        path.write_text(json.dumps(payload))
+        payload = {"document_count": 2, "terms": ["a"], "doc_freq": [2], "stopwords": ["the"]}
+        if field == "terms":
+            payload["terms"], payload["doc_freq"] = value
+        else:
+            payload[field] = value
         with pytest.raises(FormatError, match=message):
-            load_vocabulary(path)
+            load_vocabulary(payload, tmp_path / "model.json")
 
     def test_non_object_rejected(self, tmp_path):
-        path = tmp_path / "vocab.json"
+        path = tmp_path / "model.json"
         path.write_text("[]")
         with pytest.raises(FormatError):
-            load_vocabulary(path)
+            load_model(path)
 
     @pytest.mark.parametrize(
         "terms",
         [
-            [["a", 0, 1], ["b", 1, 1], ["a", 0, 2]],  # a repeated term would load as its last entry
-            [["a", 0, 1], ["a", 1, 1]],
-            [["a", 1, 1], ["b", 0, 1]],  # dense columns, but not in term order
-            [["b", 0, 1], ["a", 1, 1]],
-            [["a", 1, 1]],
+            ["a", "b", "a"],  # a repeated term would load as its last column
+            ["a", "a"],
+            ["b", "a"],
+            ["a", "c", "b"],
+            ["a", "B"],  # code-point order: every upper-case ASCII letter sorts before "a"
         ],
     )
     def test_terms_out_of_order_rejected(self, tmp_path, terms):
-        path = tmp_path / "vocab.json"
-        path.write_text(json.dumps({"version": 1, "document_count": 2, "terms": terms, "stopwords": []}))
-        with pytest.raises(FormatError, match="out of term order or non-dense"):
-            load_vocabulary(path)
+        payload = {"document_count": 2, "terms": terms, "doc_freq": [1] * len(terms), "stopwords": []}
+        with pytest.raises(FormatError, match="out of term order"):
+            load_vocabulary(payload, tmp_path / "model.json")
 
     def test_non_dense_indices_rejected(self, tmp_path):
-        path = tmp_path / "vocab.json"
-        path.write_text(
-            '{"version": 1, "document_count": 1, "terms": [["a", 0, 1], ["b", 2, 1]], "stopwords": []}'
-        )
-        with pytest.raises(FormatError, match="dense"):
-            load_vocabulary(path)
+        """Columns are the positions of the terms, so a document frequency without a term is a column too many."""
+        payload = {"document_count": 1, "terms": ["a", "b"], "doc_freq": [1, 1, 1], "stopwords": []}
+        with pytest.raises(FormatError, match="not two lists of one length"):
+            load_vocabulary(payload, tmp_path / "model.json")

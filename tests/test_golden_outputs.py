@@ -6,6 +6,9 @@ The non-ASCII corpus's digests were taken before train and predict streamed
 their documents and cut a truncated side's row out of its paragraph's scan.
 The `stats` and `random-baseline` digests were taken before those two
 commands streamed their documents.
+The first digest of each entry is that of the vocabulary file train wrote
+until the model file came to hold the vocabulary: the vocabulary of
+`model.json`, spelled in that file's layout, must keep it.
 `model.json` and `predictions.ndjson` are not pinned: their last bits depend
 on the CPU's BLAS dot kernel.
 """
@@ -13,6 +16,7 @@ on the CPU's BLAS dot kernel.
 from __future__ import annotations
 
 import hashlib
+import json
 import logging
 import random
 from pathlib import Path
@@ -20,9 +24,11 @@ from pathlib import Path
 import pytest
 
 from styleseam import cli
+from styleseam.features import Vocabulary
+from styleseam.model import load_model
 from synthdata import generate_corpus
 
-# (strategy, budget) -> (vocabulary.json, solution files, report.json, objective line)
+# (strategy, budget) -> (the vocabulary, solution files, report.json, objective line)
 EXPECTED = {
     ("transition", 512): (
         "812d7783d5eb6f6c2c0284509b7fe0473e6a00583e3727fe9a10d94ae284d223",
@@ -47,6 +53,17 @@ EXPECTED = {
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def reference_vocabulary_bytes(vocab: Vocabulary) -> bytes:
+    """The bytes of the version-1 vocabulary file of `vocab`: one `json.dumps`, terms as [term, column, df]."""
+    payload = {
+        "version": 1,
+        "document_count": vocab.document_count,
+        "terms": [[term, col, df] for col, (term, df) in enumerate(zip(vocab.terms, vocab.doc_freq.tolist()))],
+        "stopwords": sorted(vocab.stopwords),
+    }
+    return json.dumps(payload).encode("utf-8")
 
 
 def _manifest(directory: Path) -> bytes:
@@ -148,7 +165,7 @@ def test_non_ascii_outputs_match_recorded_digests(non_ascii_corpus, tmp_path, ca
 
 
 def _outputs(root, documents, tmp_path, caplog, capsys, strategy, budget, flags=()) -> tuple[str, str, str, str]:
-    """Digests of vocabulary.json, the solution files and report.json, and train's objective line."""
+    """Digests of the vocabulary, the solution files and report.json, and train's objective line."""
     data = ["--dataset-root", str(root), "--difficulty", "easy"]
     truncation = ["--strategy", strategy, "--budget", str(budget)]
     model_dir, pred_dir = tmp_path / "model", tmp_path / "pred"
@@ -167,7 +184,7 @@ def _outputs(root, documents, tmp_path, caplog, capsys, strategy, budget, flags=
 
     assert len(list(pred_dir.glob("solution-problem-*.json"))) == documents
     return (
-        _sha256((model_dir / cli.VOCABULARY_FILENAME).read_bytes()),
+        _sha256(reference_vocabulary_bytes(load_model(model_dir / cli.MODEL_FILENAME).vocabulary)),
         _sha256(_manifest(pred_dir)),
         _sha256((pred_dir / cli.REPORT_FILENAME).read_bytes()),
         objective,

@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "styleseam"
-READERS = {"read_text", "read_json", "read_json_lines", "read_artifact", "_parse_json"}
+READERS = {"read_text", "read_json", "read_json_lines", "_parse_json"}
 
 
 def _name(node: ast.expr) -> str | None:

@@ -4,6 +4,7 @@ import json
 import logging
 import math
 import random
+import re
 import tracemalloc
 import warnings
 import weakref
@@ -19,11 +20,12 @@ from styleseam.corpus import (
     pair_keys,
 )
 from styleseam.errors import DataError, FormatError, StyleSeamError, UsageError
-from styleseam.features import PairFeatures, ParagraphTable, fit_vocabulary, load_stopwords
+from styleseam.features import PairFeatures, ParagraphTable, Vocabulary, fit_vocabulary, load_stopwords
 from styleseam.model import (
     EnsembleMode,
     LinearModel,
     PredictionRecord,
+    SavedModel,
     TrainConfig,
     _margins,
     ensemble,
@@ -359,7 +361,7 @@ class TestTrainSplit:
 
         truncation = TruncationConfig(budget=12, strategy=strategy)
         fit = train_split(stream(), truths, frozenset({"the"}), truncation, TrainConfig(epochs=1))
-        records = predict_split(fit.model, fit.vocabulary, stream(), truncation)
+        records = predict_split(SavedModel(fit.model, fit.vocabulary, truncation), stream())
         docs = [Document(id=i, difficulty=Difficulty.EASY, paragraphs=tuple(pool[k] for k in l)) for i, l in
                 enumerate(layouts)]
         assert [(r.doc_id, r.pair_index) for r in records] == [(p.doc_id, p.pair_index) for p in build_pairs(docs)]
@@ -652,65 +654,96 @@ class TestEnsemble:
         assert [r.label for r in majority] == [r.label for r in mean]
 
 
+def _saved(weights: np.ndarray, bias: float = 0.125) -> SavedModel:
+    """A saved model whose vocabulary has len(weights) / 2 - 5 terms, truncated longest-first at 16 tokens."""
+    terms = tuple(f"t{i:05d}" for i in range(weights.size // 2 - 5))
+    vocab = Vocabulary(terms, np.arange(1, len(terms) + 1, dtype=np.int64), len(terms) + 1, frozenset({"the"}))
+    truncation = TruncationConfig(16, TruncationStrategy.LONGEST_FIRST)
+    return SavedModel(LinearModel(weights=weights, bias=bias, l2=1e-4), vocab, truncation)
+
+
+def _payload(weights: list, **fields) -> dict:
+    """A version-3 model file's fields for 2 * (1 + 5) weights unless `fields` say otherwise."""
+    payload = {"version": 3, "strategy": "transition", "budget": 512, "bias": 0.5, "lambda": 1e-4}
+    payload.update(document_count=2, stopwords=["the"], terms=["a"], doc_freq=[2], weights=weights)
+    return {**payload, **fields}
+
+
 class TestModelSerialization:
     def test_round_trip(self, tmp_path):
-        weights = np.zeros(10)
+        weights = np.zeros(12)
         weights[[2, 7]] = [0.5, -1.25]
-        model = LinearModel(weights=weights, bias=0.125, l2=1e-4)
+        saved = _saved(weights)
         path = tmp_path / "model.json"
-        save_model(model, path)
+        save_model(saved, path)
         loaded = load_model(path)
-        assert loaded.weights.tobytes() == model.weights.tobytes()
-        assert loaded.bias == model.bias
-        assert loaded.l2 == model.l2
+        assert loaded.model.weights.tobytes() == weights.tobytes()
+        assert (loaded.model.bias, loaded.model.l2) == (saved.model.bias, saved.model.l2)
+        assert loaded.vocabulary == saved.vocabulary and loaded.truncation == saved.truncation
+        assert loaded.dimension == 12
 
     @pytest.mark.parametrize("nonzero", [0, 1, 4095, 4096, 4097, 9000])
     def test_bytes_equal_one_json_dump(self, tmp_path, nonzero):
-        """A version-2 file is json.dumps of the payload, every weight listed in column order."""
+        """A version-3 file is json.dumps of the payload, every weight listed in column order."""
         rng = np.random.default_rng(nonzero)
         weights = np.zeros(10000)
         index = rng.choice(weights.size, size=nonzero, replace=False)
         weights[index] = rng.normal(size=nonzero) * 10.0 ** rng.integers(-300, 300, size=nonzero)
-        model = LinearModel(weights=weights, bias=-0.1 + 1e-17, l2=1e-4)
+        saved = _saved(weights, bias=-0.1 + 1e-17)
         path = tmp_path / "model.json"
-        save_model(model, path)
-        expected = {"version": 2, "dimension": 10000, "bias": model.bias, "lambda": model.l2, "weights": list(weights)}
+        save_model(saved, path)
+        vocab = saved.vocabulary
+        expected = {"version": 3, "strategy": "longest_first", "budget": 16, "bias": saved.model.bias, "lambda": 1e-4}
+        expected.update(document_count=vocab.document_count, stopwords=["the"], terms=list(vocab.terms))
+        expected.update(doc_freq=vocab.doc_freq.tolist(), weights=list(weights))
         assert path.read_text(encoding="utf-8") == json.dumps(expected)
-        assert load_model(path).weights.tobytes() == weights.tobytes()
+        assert load_model(path).model.weights.tobytes() == weights.tobytes()
 
     def test_version_check(self, tmp_path):
         path = tmp_path / "model.json"
-        path.write_text('{"version": 9, "dimension": 1, "bias": 0, "lambda": 1, "weights": []}')
+        path.write_text(json.dumps(_payload([0.0] * 12, version=9)))
         with pytest.raises(FormatError, match="version"):
             load_model(path)
 
-    @pytest.mark.parametrize("version", ["true", "1.0"])
+    @pytest.mark.parametrize("version", ["true", "1.0", "3.0"])
     def test_version_must_be_an_integer(self, tmp_path, version):
         path = tmp_path / "model.json"
-        path.write_text(f'{{"version": {version}, "dimension": 1, "bias": 0, "lambda": 1, "weights": []}}')
+        path.write_text(json.dumps(_payload([0.0] * 12)).replace('"version": 3', f'"version": {version}'))
         with pytest.raises(FormatError, match=f"unsupported model version {version.title()}"):
             load_model(path)
 
     @pytest.mark.parametrize(
         ("field", "value"),
         [
-            ("dimension", "3"),
-            ("dimension", True),
-            ("dimension", 2.9),
+            ("budget", "3"),
+            ("budget", True),
+            ("budget", 2.9),
             ("bias", "0.5"),
             ("bias", False),
             ("lambda", "0.5"),
             ("lambda", False),
-            ("weights", [1.5, "1.5", 0.0]),
-            ("weights", [10**400, 0.0, 0.0]),
+            ("weights", [1.5, "1.5", *[0.0] * 10]),
+            ("weights", [10**400, *[0.0] * 11]),
+            ("budget", 1),
+            ("budget", None),
+            ("strategy", "middle"),
+            ("strategy", ["transition"]),
+            ("strategy", None),
         ],
     )
     def test_mistyped_field_rejected(self, tmp_path, field, value):
-        payload = {"version": 2, "dimension": 3, "bias": 0.5, "lambda": 1e-4, "weights": [1.5, 0.0, 0.0]}
-        payload[field] = value
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({**_payload([1.5, *[0.0] * 11]), field: value}))
+        with pytest.raises(FormatError, match="model file"):
+            load_model(path)
+
+    @pytest.mark.parametrize("field", ["strategy", "budget", "bias", "lambda", "weights", "terms", "doc_freq"])
+    def test_missing_field_rejected(self, tmp_path, field):
+        payload = _payload([0.0] * 12)
+        del payload[field]
         path = tmp_path / "model.json"
         path.write_text(json.dumps(payload))
-        with pytest.raises(FormatError, match="model file"):
+        with pytest.raises(FormatError, match=f"model file {path} is malformed: '{field}'"):
             load_model(path)
 
     @pytest.mark.parametrize(
@@ -730,19 +763,40 @@ class TestModelSerialization:
         payload = {"version": 1, "dimension": dimension, "bias": 0.0, "lambda": 1e-4, "weights": weights}
         path = tmp_path / "model.json"
         path.write_text(json.dumps(payload))
-        with pytest.raises(FormatError, match="unsupported model version 1 in"):
+        message = f"unsupported model version 1 in {path}; retrain to write a version-3 file"
+        with pytest.raises(FormatError, match=re.escape(message)):
             load_model(path)
         split = ["--dataset-root", str(pan_fixture), "--difficulty", "easy", "--split", "validation"]
         code = cli.main(["predict", *split, "--model", str(path), "--out", str(tmp_path / "out")])
         errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
         assert code == 2
-        assert [r.getMessage() for r in errors] == [f"unsupported model version 1 in {path}"]
+        assert [r.getMessage() for r in errors] == [message]
         assert errors[0].exc_info is None and "Traceback" not in capsys.readouterr().err
+
+    def test_version_2_file_rejected(self, capsys, caplog, pan_fixture, tmp_path):
+        """Format 2 held the dense weights alone, beside a vocabulary file; it is not read, so the user retrains."""
+        payload = {"version": 2, "dimension": 12, "bias": 0.0, "lambda": 1e-4, "weights": [0.0] * 12}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(payload))
+        split = ["--dataset-root", str(pan_fixture), "--difficulty", "easy", "--split", "validation"]
+        code = cli.main(["predict", *split, "--model", str(path), "--out", str(tmp_path / "out")])
+        errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
+        assert code == 2
+        assert [r.getMessage() for r in errors] == [
+            f"unsupported model version 2 in {path}; retrain to write a version-3 file"
+        ]
+        assert errors[0].exc_info is None and "Traceback" not in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("weights", ["[0.5, 1.5]", '[0.5, 1.5, "2"]', "[0.5, 1.5, true]", "[0.5, 1e400, 2]",
                                          "[0.5, NaN, 2]", '"0.5"', "{}", "[[0, 0.5]]"])
     def test_version_2_weights_rejected(self, tmp_path, weights):
+        """The weights the version-2 reader rejected, the version-3 one rejects too.
+
+        Without terms a file holds 2 * (0 + 5) = 10 weights: seven zeros go before each list's three entries.
+        """
+        weights = weights.replace("[", "[" + "0.0, " * 7, 1) if weights.startswith("[") else weights
         path = tmp_path / "model.json"
-        path.write_text(f'{{"version": 2, "dimension": 3, "bias": 0, "lambda": 1, "weights": {weights}}}')
+        path.write_text(json.dumps(_payload("WEIGHTS", terms=[], doc_freq=[])).replace('"WEIGHTS"', weights))
         with pytest.raises(FormatError, match="model file"):
             load_model(path)

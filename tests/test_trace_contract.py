@@ -4,7 +4,8 @@
 counts SGD steps through `model.warmup_schedule`. A rename, a move to
 another module or a call that bypasses the module namespace would make
 `--trace 1` fail or read zeros without any test noticing; these tests
-read the benchmark's tables and change nothing under `perfbench/`.
+read the benchmark's tables and change nothing under `perfbench/`. Its
+`load_model` hook reads `.dimension` from what `load_model` returns.
 """
 
 from __future__ import annotations
@@ -52,11 +53,16 @@ def test_traced_train_counts_and_uninstall_restores(layers, modules, pan_fixture
     owners = [(modules[layer], function) for layer, function in wrapped_names(layers)]
     owners.append((pathlib.Path, "read_text"))
     originals = [getattr(owner, attr) for owner, attr in owners]
+    dataset = ["--dataset-root", str(pan_fixture), "--difficulty", "easy"]
 
     state = layers.install(modules)
     try:
         assert all(getattr(owner, attr) is not original for (owner, attr), original in zip(owners, originals))
-        argv = ["train", "--dataset-root", str(pan_fixture), "--difficulty", "easy", "--out", str(tmp_path)]
+        assert modules["cli"].main(["train", *dataset, "--out", str(tmp_path)]) == 0
+        trained = layers.metrics(state)
+        state.tracer.counters["model.dimension"] = 0  # so only the load_model hook can set it again
+        model = str(tmp_path / "model.json")
+        argv = ["predict", *dataset, "--split", "validation", "--model", model, "--out", str(tmp_path / "pred")]
         assert modules["cli"].main(argv) == 0
     finally:
         state.tracer.uninstall()
@@ -67,6 +73,8 @@ def test_traced_train_counts_and_uninstall_restores(layers, modules, pan_fixture
     pairs = 7  # easy/train of the bundled fixture
     assert traced["model.sgd_steps"] == cfg.epochs * math.ceil(pairs / cfg.batch_size)
     assert traced["features.vocab_terms"] > 0
-    assert traced["model.dimension"] > 0
+    assert trained["model.dimension"] == 2 * (trained["features.vocab_terms"] + 5)
+    assert traced["model.dimension"] == trained["model.dimension"] > 0  # read off the model file predict loaded
+    assert traced["model.predict_calls"] == 1 and traced["evaluation.solution_files"] > 0
     assert traced["features.word_tokens_calls"] > 0
     assert traced["corpus.bytes_read"] > 0
