@@ -214,11 +214,12 @@ def build_parser() -> argparse.ArgumentParser:
     dataset.add_argument("--split", choices=corpus.SPLITS, default="train")
     truncation = argparse.ArgumentParser(add_help=False)
     truncation.add_argument("--strategy", type=TruncationStrategy, choices=STRATEGIES)
+    default_budget, default_seed = TruncationConfig._field_defaults["budget"], TrainConfig._field_defaults["seed"]
     truncation.add_argument(
-        "--budget", type=int, help=f"total token budget per pair (default {TruncationConfig.budget}, or the model's)"
+        "--budget", type=int, help=f"total token budget per pair (default {default_budget}, or the model's)"
     )
     seed = argparse.ArgumentParser(add_help=False)
-    seed.add_argument("--seed", type=int, help=f"seed for all randomness (default {TrainConfig.seed})")
+    seed.add_argument("--seed", type=int, help=f"seed for all randomness (default {default_seed})")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, func, *parents):

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 import re
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
@@ -44,8 +44,7 @@ class Difficulty(str, Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class Document:
+class Document(NamedTuple):
     """One problem file: ordered nonempty paragraphs plus provenance."""
 
     id: int
@@ -53,8 +52,7 @@ class Document:
     paragraphs: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class TruthRecord:
+class TruthRecord(NamedTuple):
     """Gold annotation for one document.
 
     Only the length invariant (len(changes) == paragraphs - 1) is ever
@@ -67,8 +65,7 @@ class TruthRecord:
     changes: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ParagraphPair:
+class ParagraphPair(NamedTuple):
     """One consecutive-paragraph instance; label is None for test data."""
 
     doc_id: int
@@ -80,8 +77,8 @@ class ParagraphPair:
 
 PairKey = NamedTuple("PairKey", [("doc_id", int), ("pair_index", int)])  # a pair without its text
 
-@dataclass(frozen=True)
-class SplitStats:
+
+class SplitStats(NamedTuple):
     document_count: int
     pair_count: int
     zeros_count: int | None  # None for an unlabeled split
@@ -121,26 +118,38 @@ def list_split(directory: str | Path) -> Listing:
         raise FileNotFoundError(f"dataset directory not found: {directory}")
     problems: dict[int, Path] = {}
     truths: dict[int, Path] = {}
-    for entry in sorted(directory.iterdir(), key=lambda path: path.name):
-        if not entry.is_file():
-            continue
-        if add_by_doc_id(problems, _PROBLEM_RE, entry) is None and add_by_doc_id(truths, _TRUTH_RE, entry) is None:
-            logger.warning("ignoring stray file %s", entry)
+    with os.scandir(directory) as entries:
+        names = sorted(entry.name for entry in entries if _is_file(entry))
+    for name in names:
+        if add_by_doc_id(problems, _PROBLEM_RE, directory, name) is None:
+            if add_by_doc_id(truths, _TRUTH_RE, directory, name) is None:
+                logger.warning("ignoring stray file %s", directory / name)
     return problems, truths
 
 
-def add_by_doc_id(files: dict[int, Path], pattern: re.Pattern[str], entry: Path) -> int | None:
-    """Add `entry` to `files` under the doc id `pattern` reads from its whole name; None if the name does not match.
+def _is_file(entry: os.DirEntry) -> bool:
+    """`Path.is_file` of a directory entry, from the type the listing gave where it gave one.
 
-    A second entry for one id, as `problem-03.txt` is for `problem-3.txt`, is a FormatError.
+    A symlink needs a stat; where that fails (a loop, say), Path.is_file ignores or raises the error as it did.
     """
-    m = pattern.fullmatch(entry.name)
+    try:
+        return entry.is_file()
+    except OSError:
+        return Path(entry.path).is_file()
+
+
+def add_by_doc_id(files: dict[int, Path], pattern: re.Pattern[str], directory: Path, name: str) -> int | None:
+    """Add `directory / name` to `files` under the doc id `pattern` reads from all of `name`; None if it does not match.
+
+    A second file for one id, as `problem-03.txt` is for `problem-3.txt`, is a FormatError.
+    """
+    m = pattern.fullmatch(name)
     if m is None:
         return None
     doc_id = int(m.group(1))
     if doc_id in files:
-        raise FormatError(f"{files[doc_id]} and {entry} both name document {doc_id}")
-    files[doc_id] = entry
+        raise FormatError(f"{files[doc_id]} and {directory / name} both name document {doc_id}")
+    files[doc_id] = directory / name
     return doc_id
 
 
@@ -171,7 +180,7 @@ def read_text(path: str | Path) -> str:
 def _parse_json(text: str, error: str) -> object:
     try:
         return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
+    except (ValueError, RecursionError) as exc:  # a JSONDecodeError, too many digits for int(), too deep a nesting
         raise FormatError(f"{error}: {exc}") from exc
 
 
@@ -180,14 +189,29 @@ def read_json(path: str | Path, what: str) -> object:
     return _parse_json(read_text(path), f"{what} {path} is not valid JSON")
 
 
+# The C scanner json.loads ends in: it parses one value at an index and returns where the value ends.
+_scan_json = json.JSONDecoder().scan_once
+
+
 def read_json_lines(path: str | Path) -> Iterator[tuple[int, object]]:
-    """(line number, value) of every nonblank line of a line-delimited JSON file."""
+    """(line number, value) of every nonblank line of a line-delimited JSON file.
+
+    Each stripped line is parsed once by the scanner and counts only if it is one value end to end;
+    a line the scanner rejects goes to json.loads, so its error is the one json.loads gives.
+    """
     # Lines end where text-mode iteration ends them: read_text has turned CRLF and CR into
     # LF. str.splitlines would also split at U+2028, which a JSON string may hold raw.
     for lineno, line in enumerate(read_text(path).split("\n"), start=1):
-        line = line.strip()
-        if line:
-            yield lineno, _parse_json(line, f"{path}:{lineno}: invalid JSON")
+        line = line.strip()  # so no JSON whitespace is left around the value: json.loads would skip it
+        if not line:
+            continue
+        try:
+            value, end = _scan_json(line, 0)
+        except (StopIteration, ValueError, RecursionError):  # no value at 0, a bad one, or too deep: json.loads says
+            end = None
+        if end != len(line):
+            value = _parse_json(line, f"{path}:{lineno}: invalid JSON")
+        yield lineno, value
 
 
 WRITE_CHUNK = 4096  # the entries of a streamed list that one json.dumps call spells

@@ -13,9 +13,8 @@ import json
 import os
 import re
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .corpus import add_by_doc_id, is_changes, read_json
 from .errors import CoverageError, FormatError, UsageError
@@ -24,16 +23,14 @@ from .model import PredictionRecord
 _SOLUTION_RE = re.compile(r"solution-problem-([0-9]+)\.json")  # ASCII digits, as corpus reads problem ids
 
 
-@dataclass(frozen=True)
-class ConfusionCounts:
+class ConfusionCounts(NamedTuple):
     tp: int
     fp: int
     fn: int
     tn: int
 
 
-@dataclass(frozen=True)
-class ScoreEntry:
+class ScoreEntry(NamedTuple):
     """Scores of one difficulty split."""
 
     f1_class0: float
@@ -161,14 +158,14 @@ def read_solutions(directory: str | Path) -> dict[int, list[int]]:
         raise FileNotFoundError(f"solution directory not found: {directory}")
     files: dict[int, Path] = {}
     solutions: dict[int, list[int]] = {}
-    for entry in sorted(directory.iterdir()):
-        doc_id = add_by_doc_id(files, _SOLUTION_RE, entry)
+    for name in sorted(os.listdir(directory)):
+        doc_id = add_by_doc_id(files, _SOLUTION_RE, directory, name)
         if doc_id is None:
             continue
-        raw = read_json(entry, "solution file")
+        raw = read_json(files[doc_id], "solution file")
         changes = raw.get("changes") if isinstance(raw, dict) else None
         if not is_changes(changes):
-            raise FormatError(f"{entry} lacks a binary \"changes\" array")
+            raise FormatError(f"{files[doc_id]} lacks a binary \"changes\" array")
         solutions[doc_id] = changes
     return solutions
 

@@ -13,8 +13,6 @@ import math
 import re
 from array import array
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
-from functools import cached_property
 from importlib import resources
 from itertools import islice
 from pathlib import Path
@@ -38,7 +36,6 @@ _ASCII_SEPARATORS = str.maketrans({chr(c): " " for c in range(128) if not chr(c)
 HANDCRAFTED_WIDTH = 5
 
 
-@dataclass(frozen=True, eq=False)
 class Vocabulary:
     """Terms with their document frequencies, by column.
 
@@ -46,10 +43,12 @@ class Vocabulary:
     fitted twice on the same corpus is identical.
     """
 
-    terms: tuple[str, ...]
-    doc_freq: np.ndarray  # int64, the document frequency of each column's term
-    document_count: int
-    stopwords: frozenset[str]
+    __slots__ = ("terms", "doc_freq", "document_count", "stopwords", "_idf")
+
+    def __init__(self, terms: tuple[str, ...], doc_freq: np.ndarray, document_count: int, stopwords: frozenset[str]):
+        self.terms, self.doc_freq = terms, doc_freq  # doc_freq: int64, the document frequency of each column's term
+        self.document_count, self.stopwords = document_count, stopwords
+        self._idf: np.ndarray | None = None
 
     @property
     def size(self) -> int:
@@ -61,13 +60,15 @@ class Vocabulary:
         same = (self.terms, self.document_count, self.stopwords) == (other.terms, other.document_count, other.stopwords)
         return same and np.array_equal(self.doc_freq, other.doc_freq)
 
-    @cached_property
+    @property
     def idf_array(self) -> np.ndarray:
-        """Smoothed idf of every term, by column: finite and positive even when df == N.
+        """Smoothed idf of every term, by column: finite and positive even when df == N; computed once.
 
         math.log, not np.log, so the bits are those of the scalar formula.
         """
-        return np.array([math.log((1 + self.document_count) / (1 + df)) + 1.0 for df in self.doc_freq.tolist()])
+        if self._idf is None:
+            self._idf = np.array([math.log((1 + self.document_count) / (1 + df)) + 1.0 for df in self.doc_freq.tolist()])
+        return self._idf
 
 
 def word_tokens(text: str) -> list[str]:
@@ -106,20 +107,19 @@ def fit_vocabulary(table: ParagraphTable) -> Vocabulary:
     return Vocabulary(terms=terms, doc_freq=doc_freq, document_count=table.document_count, stopwords=table.stopwords)
 
 
-@dataclass(eq=False)
 class PairFeatures:
-    """Pair vectors over CSR rows of side blocks, each block stored once.
+    """Pair vectors over CSR rows of side blocks, each block stored once; its length is its pair count.
 
     Pair i is row `left[i]` followed by row `right[i]` shifted by one block,
     total width 2 * (V + 5); the model reads the two rows where they lie.
     """
 
-    indptr: list[int]
-    indices: np.ndarray
-    values: np.ndarray
-    left: list[int]
-    right: list[int]
-    dimension: int
+    __slots__ = ("indptr", "indices", "values", "left", "right", "dimension")
+
+    def __init__(self, indptr: list[int], indices: np.ndarray, values: np.ndarray, left: list[int], right: list[int],
+                 dimension: int):
+        self.indptr, self.indices, self.values = indptr, indices, values
+        self.left, self.right, self.dimension = left, right, dimension
 
     def __len__(self) -> int:
         return len(self.left)

@@ -12,8 +12,8 @@ import json
 import math
 import random
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
@@ -40,10 +40,7 @@ class EnsembleMode(str, Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class TrainConfig:
-    """Optimizer settings; defaults are tuned for the linear model."""
-
+class _TrainFields(NamedTuple):
     peak_lr: float = 0.1
     epochs: int = 5
     batch_size: int = 4
@@ -51,7 +48,14 @@ class TrainConfig:
     seed: int = 5000
     l2: float = 1e-4
 
-    def __post_init__(self) -> None:
+
+class TrainConfig(_TrainFields):
+    """Optimizer settings; defaults are tuned for the linear model."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args: object, **kwargs: object) -> TrainConfig:
+        self = super().__new__(cls, *args, **kwargs)
         for name, value in (("peak_lr", self.peak_lr), ("l2", self.l2)):
             if not (math.isfinite(value) and value > 0):
                 raise UsageError(f"{name} must be positive and finite, got {value}")
@@ -61,13 +65,20 @@ class TrainConfig:
             raise UsageError(f"warmup_ratio must be in [0, 1], got {self.warmup_ratio}")
         if self.seed < 0:
             raise UsageError(f"seed must be a non-negative integer, got {self.seed}")
+        return self
+
+    @classmethod
+    def _make(cls, fields: object) -> TrainConfig:  # so that `_replace` checks too
+        return cls(*fields)
 
 
-@dataclass(frozen=True, eq=False)
 class LinearModel:
-    weights: np.ndarray
-    bias: float
-    l2: float
+    """Weights, bias and the l2 they were trained under; equal only to itself, as its weights are an array."""
+
+    __slots__ = ("weights", "bias", "l2")
+
+    def __init__(self, weights: np.ndarray, bias: float, l2: float) -> None:
+        self.weights, self.bias, self.l2 = weights, bias, l2
 
     @property
     def dimension(self) -> int:
@@ -310,13 +321,14 @@ def load_external_predictions(path: str | Path) -> list[PredictionRecord]:
             doc_id, pair_index, score, source = raw["doc_id"], raw["pair_index"], raw["score"], raw["source"]
         except KeyError as exc:
             raise FormatError(f"{path}:{lineno}: missing field {exc}") from exc
-        if not is_int(doc_id) or doc_id < 0:
+        # Exact types: of parsed JSON they accept what is_int and is_number do, a bool being neither.
+        if type(doc_id) is not int or doc_id < 0:
             raise FormatError(f"{path}:{lineno}: doc_id must be an integer >= 0")
-        if not is_int(pair_index) or pair_index < 0:
+        if type(pair_index) is not int or pair_index < 0:
             raise FormatError(f"{path}:{lineno}: pair_index must be an integer >= 0")
-        if not is_number(score):
+        if type(score) not in (int, float):
             raise FormatError(f"{path}:{lineno}: score must be a number")
-        if not isinstance(source, str):
+        if type(source) is not str:
             raise FormatError(f"{path}:{lineno}: source must be a string")
         if not 0.0 <= score <= 1.0:
             raise FormatError(f"{path}:{lineno}: score {score} outside [0, 1]")
@@ -325,16 +337,28 @@ def load_external_predictions(path: str | Path) -> list[PredictionRecord]:
             raise FormatError(f"{path}:{lineno}: duplicate record for {key}")
         seen.add(key)
         records.append(PredictionRecord(doc_id, pair_index, float(score), _label(score), source))
-    records.sort(key=lambda r: (r.doc_id, r.pair_index, r.source))
+    records.sort(key=itemgetter(0, 1, 4))  # (doc_id, pair_index, source)
     return records
 
 
 def save_predictions(records: Sequence[PredictionRecord], path: str | Path) -> None:
-    """Write records in the line-delimited JSON exchange format."""
+    """Write records in the line-delimited JSON exchange format, in one write.
+
+    Each line is the bytes of `json.dumps` of the record's fields. A record of ints, a finite float and a
+    string is spelled by one f-string, as json.dumps writes a finite float as `float.__repr__`; each
+    distinct source is dumped once.
+    """
+    quoted: dict[str, str] = {}
+    lines = []
+    for doc_id, pair_index, score, _, source in records:
+        exact = type(doc_id) is type(pair_index) is int and type(score) is float and type(source) is str
+        if exact and math.isfinite(score):
+            spelled = quoted.get(source) or quoted.setdefault(source, json.dumps(source))
+            lines.append(f'{{"doc_id": {doc_id}, "pair_index": {pair_index}, "score": {score!r}, "source": {spelled}}}\n')
+        else:
+            lines.append(json.dumps({"doc_id": doc_id, "pair_index": pair_index, "score": score, "source": source}) + "\n")
     with open(path, "w", encoding="utf-8") as handle:
-        for r in records:
-            line = {"doc_id": r.doc_id, "pair_index": r.pair_index, "score": r.score, "source": r.source}
-            handle.write(json.dumps(line) + "\n")
+        handle.write("".join(lines))
 
 
 def ensemble(

@@ -10,8 +10,8 @@ budget semantics.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import UsageError
 
@@ -33,20 +33,28 @@ class TruncationStrategy(str, Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class TruncationConfig:
-    """Token budget shared by both sides of a pair, and how to spend it."""
-
+class _TruncationFields(NamedTuple):
     budget: int = 512
     strategy: TruncationStrategy = TruncationStrategy.TRANSITION
 
-    def __post_init__(self) -> None:
+
+class TruncationConfig(_TruncationFields):
+    """Token budget shared by both sides of a pair, and how to spend it."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args: object, **kwargs: object) -> TruncationConfig:
+        self = super().__new__(cls, *args, **kwargs)
         if self.budget < 2:
             raise UsageError(f"truncation budget must be >= 2, got {self.budget}")
+        return self
+
+    @classmethod
+    def _make(cls, fields: object) -> TruncationConfig:  # so that `_replace` checks too
+        return cls(*fields)
 
 
-@dataclass(frozen=True)
-class PairInput:
+class PairInput(NamedTuple):
     """Marker-framed token sequence for one paragraph pair.
 
     Layout is [CLS] left [SEP] right [SEP]; spans are half-open index
@@ -135,7 +143,7 @@ def kept_span(text: str, keep: int, from_end: bool) -> tuple[int, int, int]:
     return (len(text) - edge, len(text), words) if from_end else (0, edge, words)
 
 
-def assemble_pair_input(left: TokenSeq, right: TokenSeq, budget: int = TruncationConfig.budget) -> PairInput:
+def assemble_pair_input(left: TokenSeq, right: TokenSeq, budget: int = TruncationConfig._field_defaults["budget"]) -> PairInput:
     """Frame a (left, right) token pair as [CLS] left [SEP] right [SEP].
 
     The combined side length must already respect `budget`; run truncation

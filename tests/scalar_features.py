@@ -13,7 +13,7 @@ before its weights carried a scale: the same descent, equal up to rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -141,7 +141,7 @@ def featurize(
         right = tokenization.tokenize(pair.right)
         if len(left) + len(right) > truncation.budget:
             left, right = tokenization.truncate(left, right, truncation)
-            pair = replace(pair, left=" ".join(left), right=" ".join(right))
+            pair = pair._replace(left=" ".join(left), right=" ".join(right))
         vectors.append(pair_features(pair, vocab))
     return vectors
 

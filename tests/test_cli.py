@@ -772,6 +772,17 @@ class TestRejectedFlags:
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "random-baseline"])
+def test_help_states_the_config_defaults(capsys, command):
+    """The help reads its defaults from the config records' field defaults, not from their field descriptors."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())  # argparse wraps lines at the terminal width
+    assert "seed for all randomness (default 5000)" in text
+    assert ("total token budget per pair (default 512, or the model's)" in text) == (command == "train")
+
+
 @pytest.mark.parametrize("command", ["stats", "train"])
 def test_stray_file_warned_once(capsys, caplog, pan_fixture, tmp_path, command):
     argv = [command, "--dataset-root", pan_fixture, "--difficulty", "easy", "--split", "train"]
@@ -896,7 +907,12 @@ INPUT_FILES = {
     "stopwords": (_stopwords_case, False),
     "config": (_config_case, True),
 }
-BAD_CONTENTS = {"undecodable": b"\xff\xfe", "invalid-json": b"{not json", "deeply-nested": b"[" * 100_000}
+BAD_CONTENTS = {
+    "undecodable": b"\xff\xfe",
+    "invalid-json": b"{not json",
+    "deeply-nested": b"[" * 100_000,
+    "too-many-digits": b"1" * 5000,  # more than int() converts by default
+}
 BAD_INPUTS = [
     pytest.param(kind, content, id=f"{kind}-{content}")
     for kind, (_, is_json) in INPUT_FILES.items()

@@ -3,7 +3,10 @@
 Only `train` and `predict` do numeric work. The commands that count
 documents or exchange predictions (`stats`, `random-baseline`, `ensemble`,
 `solutions`, `evaluate`) and a bare `import styleseam` must start without
-numpy, which is most of the package's import time.
+numpy, which is most of the package's import time, and without
+`dataclasses`, which no module of the package imports: its records are
+`NamedTuple`s or small `__slots__` classes, which cost no class-body
+machinery at start-up.
 """
 
 from __future__ import annotations
@@ -35,9 +38,10 @@ def run_fresh(code: str) -> None:
 def run_command(argv: list[object], *, loads_numpy: bool) -> None:
     argv = [str(a) for a in argv]
     check = "in" if loads_numpy else "not in"
+    unloaded = "" if loads_numpy else "; assert 'dataclasses' not in sys.modules, 'dataclasses in sys.modules'"
     run_fresh(
         f"import sys, styleseam.cli as c; code = c.main({argv!r}); "
-        f"assert code == 0, code; assert 'numpy' {check} sys.modules, 'numpy {check} sys.modules'"
+        f"assert code == 0, code; assert 'numpy' {check} sys.modules, 'numpy {check} sys.modules'{unloaded}"
     )
 
 
@@ -64,7 +68,18 @@ def members(synth_corpus, tmp_path_factory) -> list[Path]:
 
 
 def test_import_styleseam_leaves_numpy_unloaded():
-    run_fresh("import sys, styleseam; assert 'numpy' not in sys.modules")
+    run_fresh("import sys, styleseam; assert 'numpy' not in sys.modules; assert 'dataclasses' not in sys.modules")
+
+
+def test_no_module_imports_dataclasses():
+    imports = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((SRC / "styleseam").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Import) and any(alias.name.split(".")[0] == "dataclasses" for alias in node.names)
+        or isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dataclasses"
+    ]
+    assert not imports
 
 
 def test_stats(synth_corpus):

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import json
 import random
 
@@ -102,7 +101,7 @@ class TestMacroF1:
         gold, pred = {1: [1, 1, 0, 0], 2: []}, {1: [1, 0, 0, 0]}
         for per_document in (False, True):
             entry = macro_f1(gold, pred, per_document)
-            assert entry == dataclasses.replace(macro_f1({1: gold[1]}, pred, per_document), document_count=2)
+            assert entry == macro_f1({1: gold[1]}, pred, per_document)._replace(document_count=2)
             assert macro_f1(gold, {**pred, 2: []}, per_document) == entry
         with pytest.raises(CoverageError, match=r"pair count mismatch for documents \[2\]"):
             macro_f1(gold, {**pred, 2: [1]})

@@ -141,6 +141,13 @@ class TestTrainConfig:
     def test_invalid(self, kwargs):
         with pytest.raises(UsageError):
             TrainConfig(**kwargs)
+        with pytest.raises(UsageError):
+            TrainConfig()._replace(**kwargs)
+
+    def test_a_tuple_of_its_fields(self):
+        assert TrainConfig(epochs=2) == (0.1, 2, 4, 0.1, 5000, 1e-4)
+        assert TrainConfig()._replace(seed=7).seed == 7
+        assert TrainConfig._field_defaults["seed"] == 5000
 
 
 def _separable_toy(n: int = 60, seed: int = 13):

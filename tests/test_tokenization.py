@@ -282,6 +282,11 @@ class TestAssemblePairInput:
         with pytest.raises(UsageError, match="budget"):
             assemble_pair_input(_seq("L", 300), _seq("R", 300), budget=512)
 
+    def test_default_budget_is_the_config_default(self):
+        assert len(assemble_pair_input(_seq("L", 256), _seq("R", 256)).tokens) == 515
+        with pytest.raises(UsageError, match="exceeds budget 512"):
+            assemble_pair_input(_seq("L", 256), _seq("R", 257))
+
     def test_marker_collision_rejected(self):
         with pytest.raises(UsageError):
             assemble_pair_input((CLS,), ("ok",))
@@ -290,3 +295,5 @@ class TestAssemblePairInput:
 def test_budget_floor():
     with pytest.raises(UsageError):
         TruncationConfig(budget=1)
+    with pytest.raises(UsageError):
+        TruncationConfig()._replace(budget=1)
