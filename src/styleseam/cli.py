@@ -45,10 +45,7 @@ CONFIG_KEYS: dict[str, type | tuple[str, ...]] = {
     "strategy": STRATEGIES,
     "budget": int,
     "seed": int,
-    "peak_lr": float,
     "epochs": int,
-    "batch_size": int,
-    "warmup_ratio": float,
     "stopwords": str,
 }
 
@@ -77,7 +74,7 @@ def _given(args: argparse.Namespace, *keys: str) -> dict[str, object]:
 
 
 def _train_config(args: argparse.Namespace) -> TrainConfig:
-    return TrainConfig(**_given(args, "peak_lr", "epochs", "batch_size", "warmup_ratio", "seed"))
+    return TrainConfig(**_given(args, "epochs", "seed"))
 
 
 def _split(args: argparse.Namespace, difficulty: Difficulty) -> tuple[Path, corpus.Listing]:
@@ -230,10 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     command("stats", cmd_stats, config, dataset)
 
     p = command("train", cmd_train, config, dataset, truncation, seed)
-    p.add_argument("--peak-lr", type=float)
     p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", type=int)
-    p.add_argument("--warmup-ratio", type=float)
     p.add_argument("--stopwords", type=Path, help="stopword file (default: bundled list)")
     p.add_argument("--out", type=Path, required=True, help="output directory for model artifacts")
 
@@ -283,12 +277,9 @@ def _config_values(path: Path, args: argparse.Namespace) -> dict[str, object]:
         if isinstance(spec, tuple):
             if not isinstance(value, str) or value not in spec:
                 raise UsageError(f"config file {path}: {key} must be one of {list(spec)}, got {value!r}")
-        elif isinstance(value, bool) or not isinstance(value, (int, float) if spec is float else spec):
+        elif isinstance(value, bool) or not isinstance(value, spec):
             raise UsageError(f"config file {path}: {key} must be {spec.__name__}, got {value!r}")
-        try:
-            values[key] = float(value) if spec is float else value
-        except OverflowError:
-            raise UsageError(f"config file {path}: {key} is an integer too large for a float") from None
+        values[key] = value
     return values
 
 

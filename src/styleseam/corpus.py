@@ -226,20 +226,28 @@ def write_json(path: str | Path, fields: Mapping[str, object]) -> None:
     """Write the bytes of `json.dumps(fields)` to `path`; a value that is an iterator of lists is one streamed list.
 
     json.dumps spells each list of such an iterator, so entries are escaped
-    as in one call, and the whole list never exists as one string.
+    as in one call, and the whole list never exists as one string. The bytes
+    go to a temporary file beside `path`, renamed over it once complete, so a
+    failed write leaves any previous file as it was.
     """
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("{")
-        for n, (key, value) in enumerate(fields.items()):
-            handle.write(f"{', ' if n else ''}{json.dumps(key)}: ")
-            if not isinstance(value, Iterator):
-                handle.write(json.dumps(value))
-                continue
-            handle.write("[")
-            for i, chunk in enumerate(chunk for chunk in value if chunk):
-                handle.write(f"{', ' if i else ''}{json.dumps(chunk)[1:-1]}")
-            handle.write("]")
-        handle.write("}")
+    temporary = Path(path).with_name(f".{Path(path).name}.{os.getpid()}.tmp")
+    try:
+        with open(temporary, "w", encoding="utf-8") as handle:
+            handle.write("{")
+            for n, (key, value) in enumerate(fields.items()):
+                handle.write(f"{', ' if n else ''}{json.dumps(key)}: ")
+                if not isinstance(value, Iterator):
+                    handle.write(json.dumps(value))
+                    continue
+                handle.write("[")
+                for i, chunk in enumerate(chunk for chunk in value if chunk):
+                    handle.write(f"{', ' if i else ''}{json.dumps(chunk)[1:-1]}")
+                handle.write("]")
+            handle.write("}")
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
 
 
 def iter_documents(directory: str | Path, difficulty: Difficulty, listing: Listing | None = None) -> Iterator[Document]:

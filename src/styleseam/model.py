@@ -1,9 +1,10 @@
 """Linear pair classifier and prediction plumbing.
 
 The trainable model is a primal linear SVM: L2-regularized hinge loss
-minimized by seeded mini-batch subgradient descent with a warmup/linear-decay
-learning-rate schedule. Scores are sigmoid-calibrated margins so internal
-predictions mix with external probability files in the same ensembles.
+minimized by seeded mini-batch subgradient descent with one warmup/linear-decay
+learning-rate schedule, fixed by the constants PEAK_LR, BATCH_SIZE and
+WARMUP_RATIO. Scores are sigmoid-calibrated margins so internal predictions
+mix with external probability files in the same ensembles.
 """
 
 from __future__ import annotations
@@ -40,11 +41,14 @@ class EnsembleMode(str, Enum):
         return self.value
 
 
+# The SGD's fixed schedule: `warmup_schedule` peaks at PEAK_LR after WARMUP_RATIO of the steps of BATCH_SIZE pairs.
+PEAK_LR = 0.1
+BATCH_SIZE = 4
+WARMUP_RATIO = 0.1
+
+
 class _TrainFields(NamedTuple):
-    peak_lr: float = 0.1
     epochs: int = 5
-    batch_size: int = 4
-    warmup_ratio: float = 0.1
     seed: int = 5000
     l2: float = 1e-4
 
@@ -56,13 +60,10 @@ class TrainConfig(_TrainFields):
 
     def __new__(cls, *args: object, **kwargs: object) -> TrainConfig:
         self = super().__new__(cls, *args, **kwargs)
-        for name, value in (("peak_lr", self.peak_lr), ("l2", self.l2)):
-            if not (math.isfinite(value) and value > 0):
-                raise UsageError(f"{name} must be positive and finite, got {value}")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise UsageError("epochs and batch_size must be positive integers")
-        if not 0.0 <= self.warmup_ratio <= 1.0:
-            raise UsageError(f"warmup_ratio must be in [0, 1], got {self.warmup_ratio}")
+        if not (math.isfinite(self.l2) and self.l2 > 0):
+            raise UsageError(f"l2 must be positive and finite, got {self.l2}")
+        if self.epochs < 1:
+            raise UsageError("epochs must be a positive integer")
         if self.seed < 0:
             raise UsageError(f"seed must be a non-negative integer, got {self.seed}")
         return self
@@ -122,10 +123,10 @@ def _sigmoid(margin: float) -> float:
     return e / (1.0 + e)
 
 
-def warmup_schedule(step: int, total_steps: int, cfg: TrainConfig) -> float:
-    """Learning rate at `step`: linear ramp to peak, then linear decay to 0.
+def warmup_schedule(step: int, total_steps: int) -> float:
+    """Learning rate at `step`: linear ramp to PEAK_LR, then linear decay to 0.
 
-    warmup_steps = round(warmup_ratio * total_steps). The ramp uses
+    warmup_steps = round(WARMUP_RATIO * total_steps). The ramp uses
     (step + 1) / warmup_steps so step 0 never gets a zero rate, and both
     formulas give the peak at the warmup/decay boundary.
     """
@@ -134,12 +135,12 @@ def warmup_schedule(step: int, total_steps: int, cfg: TrainConfig) -> float:
     if not 0 <= step < total_steps:
         raise UsageError(f"step {step} outside [0, {total_steps})")
     try:
-        warmup_steps = round(cfg.warmup_ratio * total_steps)
+        warmup_steps = round(WARMUP_RATIO * total_steps)
     except OverflowError:
         raise UsageError("too many training steps to take as a float; give fewer epochs") from None
     if step < warmup_steps:
-        return cfg.peak_lr * (step + 1) / warmup_steps
-    return cfg.peak_lr * (total_steps - step) / (total_steps - warmup_steps)
+        return PEAK_LR * (step + 1) / warmup_steps
+    return PEAK_LR * (total_steps - step) / (total_steps - warmup_steps)
 
 
 def _margins(model: LinearModel, features: PairFeatures) -> np.ndarray:
@@ -190,7 +191,8 @@ def train_linear_svm(
 ) -> LinearModel:
     """Fit the linear SVM by seeded, bit-reproducible mini-batch subgradient descent.
 
-    Each step shrinks w by 1 - lr * l2; then each pair of its batch of k with y * (w . x + b) < 1, in
+    Each step takes the pass's next k = BATCH_SIZE pairs (fewer at its end) at the rate lr of `warmup_schedule`.
+    It shrinks w by 1 - lr * l2; then each pair of the batch with y * (w . x + b) < 1, in
     order, adds lr / k * y * x to w and lr / k * y to b. w is kept as scale * w, so a shrink is one
     multiply; the scale is folded in when below 1e-9 (a factor <= 0 included) and at each epoch
     end, before the divergence check and `on_epoch_end(epoch, snapshot)`.
@@ -211,16 +213,16 @@ def train_linear_svm(
     w_left, w_right = np.split(w, 2)  # views: the weights of a row as a left and as a right side
     ptr, idx, val, left, right = features.indptr, features.indices, features.values, features.left, features.right
     n = len(features)
-    steps_per_epoch = (n + cfg.batch_size - 1) // cfg.batch_size
+    steps_per_epoch = (n + BATCH_SIZE - 1) // BATCH_SIZE
     rng = np.random.default_rng(cfg.seed)
 
-    # A rate too high overflows to inf and NaN; the divergence check reports that, not numpy.
+    # An l2 too high overflows the weights to inf and NaN; the divergence check reports that, not numpy.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs):
             order = rng.permutation(n).tolist()
-            for step, start in enumerate(range(0, n, cfg.batch_size), epoch * steps_per_epoch):
-                batch = order[start : start + cfg.batch_size]
-                lr = warmup_schedule(step, cfg.epochs * steps_per_epoch, cfg)
+            for step, start in enumerate(range(0, n, BATCH_SIZE), epoch * steps_per_epoch):
+                batch = order[start : start + BATCH_SIZE]
+                lr = warmup_schedule(step, cfg.epochs * steps_per_epoch)
                 scale *= 1.0 - lr * cfg.l2
                 if scale < 1e-9:
                     w *= scale
@@ -239,7 +241,7 @@ def train_linear_svm(
             w *= scale
             scale = 1.0
             if not (math.isfinite(b) and np.all(np.isfinite(w))):
-                raise DataError(f"training diverged in epoch {epoch + 1}: weights or bias not finite; lower the rate")
+                raise DataError(f"training diverged in epoch {epoch + 1}: weights or bias not finite; lower l2")
             if on_epoch_end is not None:
                 on_epoch_end(epoch, LinearModel(weights=w.copy(), bias=b, l2=cfg.l2))
     return LinearModel(weights=w, bias=b, l2=cfg.l2)
@@ -280,14 +282,15 @@ def train_split(
 
 
 def predict(
-    model: LinearModel, features: PairFeatures, pairs: Sequence[ParagraphPair | PairKey], source: str = "tfidf-svc"
+    model: LinearModel, features: PairFeatures, pairs: Sequence[ParagraphPair | PairKey]
 ) -> list[PredictionRecord]:
-    """Score every pair of `features`, which are the vectors of `pairs`; label 1 iff sigmoid(margin) >= 0.5."""
+    """Score every pair of `features`, the vectors of `pairs`, as "tfidf-svc"; label 1 iff sigmoid(margin) >= 0.5."""
     if features.dimension != model.dimension:
         raise UsageError(f"feature dimension {features.dimension} does not match model {model.dimension}")
     if len(features) != len(pairs):
         raise UsageError(f"{len(features)} feature vectors vs {len(pairs)} pairs")
     scores = map(_sigmoid, _scored_margins(model, features).tolist())
+    source = "tfidf-svc"
     return [PredictionRecord(p.doc_id, p.pair_index, score, _label(score), source) for p, score in zip(pairs, scores)]
 
 
@@ -380,23 +383,17 @@ def ensemble(
         if len(table) < len(records):
             key = next(key for key, n in Counter((r.doc_id, r.pair_index) for r in records).items() if n > 1)
             raise UsageError(f"model {m} has multiple records for pair {key}")
-    reference = set(keyed[0])
+    reference = keyed[0].keys()
     for m, table in enumerate(keyed[1:], start=1):
-        if set(table) != reference:
-            missing = sorted(reference - set(table))[:5]
-            extra = sorted(set(table) - reference)[:5]
-            raise UsageError(
-                f"model {m} coverage mismatch (missing {missing}, unexpected {extra})"
-            )
+        if table.keys() != reference:
+            missing, extra = sorted(reference - table.keys())[:5], sorted(table.keys() - reference)[:5]
+            raise UsageError(f"model {m} coverage mismatch (missing {missing}, unexpected {extra})")
 
+    field = PredictionRecord._fields.index("label" if mode is EnsembleMode.MAJORITY else "score")
+    count, source = len(keyed), f"ensemble-{mode.value}"
     combined = []
-    source = f"ensemble-{mode.value}"
     for key in sorted(reference):
-        members = [table[key] for table in keyed]
-        if mode is EnsembleMode.MAJORITY:
-            score = sum(r.label for r in members) / len(members)
-        else:
-            score = sum(r.score for r in members) / len(members)
+        score = sum([table[key][field] for table in keyed]) / count
         combined.append(PredictionRecord(*key, score, _label(score), source))
     return combined
 

@@ -21,7 +21,7 @@ import numpy as np
 from styleseam import tokenization
 from styleseam.corpus import ParagraphPair
 from styleseam.features import HANDCRAFTED_WIDTH, PairFeatures, Vocabulary, word_tokens
-from styleseam.model import LinearModel, TrainConfig, warmup_schedule
+from styleseam.model import BATCH_SIZE, LinearModel, TrainConfig, warmup_schedule
 from styleseam.tokenization import TruncationConfig
 
 
@@ -166,14 +166,14 @@ def train_linear_svm(
     half = w.size // 2
     b, scale = 0.0, 1.0
     n = len(features)
-    total_steps = cfg.epochs * ((n + cfg.batch_size - 1) // cfg.batch_size)
+    total_steps = cfg.epochs * ((n + BATCH_SIZE - 1) // BATCH_SIZE)
     rng = np.random.default_rng(cfg.seed)
     step = 0
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            lr = warmup_schedule(step, total_steps, cfg)
+        for start in range(0, n, BATCH_SIZE):
+            batch = order[start : start + BATCH_SIZE]
+            lr = warmup_schedule(step, total_steps)
             scale *= 1.0 - lr * cfg.l2
             if scale < 1e-9:
                 w *= scale
@@ -200,14 +200,14 @@ def dense_shrink_train_linear_svm(features: Sequence[Vector], labels: Sequence[i
     w = np.zeros(features[0].dimension)
     b = 0.0
     n = len(features)
-    total_steps = cfg.epochs * ((n + cfg.batch_size - 1) // cfg.batch_size)
+    total_steps = cfg.epochs * ((n + BATCH_SIZE - 1) // BATCH_SIZE)
     rng = np.random.default_rng(cfg.seed)
     step = 0
     for _ in range(cfg.epochs):
         order = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            batch = order[start : start + cfg.batch_size]
-            lr = warmup_schedule(step, total_steps, cfg)
+        for start in range(0, n, BATCH_SIZE):
+            batch = order[start : start + BATCH_SIZE]
+            lr = warmup_schedule(step, total_steps)
             w *= 1.0 - lr * cfg.l2
             scale = lr / len(batch)
             for i in batch:

@@ -264,7 +264,7 @@ def test_criterion_3_tfidf_svc_baseline(capsys, synth_corpus, tmp_path):
         assert ok, detail
         return
 
-    report = _pipeline(synth_corpus, tmp_path, "easy", ["--epochs", "30", "--peak-lr", "0.3"])
+    report = _pipeline(synth_corpus, tmp_path, "easy", ["--epochs", "30"])
     capsys.readouterr()
     macro = report["easy"]["macro_f1"]
     ok = macro >= 0.90

@@ -230,20 +230,21 @@ def _assert_model_matches_reference(docs, truncation, labels, cfg):
     st.lists(texts, min_size=6, max_size=6),
     st.sampled_from(list(TruncationStrategy)),
     st.integers(2, 24),
-    st.integers(1, 3),
     st.integers(0, 2**32 - 1),
-    st.data(),
+    st.lists(st.sampled_from([0, 1]), min_size=20, max_size=20),  # the first labels, one per pair
 )
-def test_model_on_table_matches_per_vector_reference(layouts, pool, strategy, budget, batch_size, seed, data):
+# 6 pairs: each pass ends in a batch of 2, fewer than BATCH_SIZE.
+@example([[0, 1, 2, 3, 4, 5], [5, 0]], [*CORPUS, "cat dog", "zebra okapi"], TruncationStrategy.LONGEST_FIRST, 8, 7,
+         [0, 1] * 10)
+def test_model_on_table_matches_per_vector_reference(layouts, pool, strategy, budget, seed, bits):
     """Paragraphs recur within and across documents, and some pairs are cut."""
     docs = [
         Document(id=i, difficulty=Difficulty.EASY, paragraphs=tuple(pool[k] for k in layout))
         for i, layout in enumerate(layouts)
     ]
-    n = len(build_pairs(docs))
-    labels = data.draw(st.lists(st.sampled_from([0, 1]), min_size=n, max_size=n))
+    labels = bits[: len(build_pairs(docs))]
     assume(set(labels) == {0, 1})
-    cfg = TrainConfig(peak_lr=0.5, epochs=3, batch_size=batch_size, seed=seed)
+    cfg = TrainConfig(epochs=3, seed=seed, l2=5e-4)  # the shrink factor of a peak rate of 0.5 at l2 1e-4
     _assert_model_matches_reference(docs, TruncationConfig(budget=budget, strategy=strategy), labels, cfg)
 
 

@@ -22,6 +22,9 @@ from styleseam.corpus import (
 from styleseam.errors import DataError, FormatError, StyleSeamError, UsageError
 from styleseam.features import PairFeatures, ParagraphTable, Vocabulary, fit_vocabulary, load_stopwords
 from styleseam.model import (
+    BATCH_SIZE,
+    PEAK_LR,
+    WARMUP_RATIO,
     EnsembleMode,
     LinearModel,
     PredictionRecord,
@@ -82,60 +85,53 @@ def _score(model: LinearModel, row: dict[int, float]) -> float:
 
 
 class TestWarmupSchedule:
-    CFG = TrainConfig(peak_lr=1.0, warmup_ratio=0.1)
+    def test_the_constants(self):
+        assert (PEAK_LR, BATCH_SIZE, WARMUP_RATIO) == (0.1, 4, 0.1)
 
     def test_apex_at_warmup_boundary(self):
-        assert warmup_schedule(10, 100, self.CFG) == 1.0
-        assert warmup_schedule(9, 100, self.CFG) == 1.0  # last ramp step also reaches peak
+        assert warmup_schedule(10, 100) == PEAK_LR
+        assert warmup_schedule(9, 100) == PEAK_LR  # last ramp step also reaches peak
 
     def test_ramp_value(self):
-        assert warmup_schedule(4, 100, self.CFG) == 0.5
+        assert warmup_schedule(4, 100) == PEAK_LR / 2
 
     def test_final_step(self):
-        assert warmup_schedule(99, 100, self.CFG) == pytest.approx(1.0 / 90.0)
+        assert warmup_schedule(99, 100) == pytest.approx(PEAK_LR / 90.0)
 
     def test_zero_total_steps(self):
         with pytest.raises(UsageError):
-            warmup_schedule(0, 0, self.CFG)
+            warmup_schedule(0, 0)
 
     def test_step_out_of_range(self):
         with pytest.raises(UsageError):
-            warmup_schedule(100, 100, self.CFG)
+            warmup_schedule(100, 100)
 
     def test_continuous_and_nonnegative(self):
         total = 73
-        rates = [warmup_schedule(s, total, self.CFG) for s in range(total)]
+        rates = [warmup_schedule(s, total) for s in range(total)]
         assert all(rate >= 0.0 for rate in rates)
-        assert max(rates) <= self.CFG.peak_lr
+        assert max(rates) <= PEAK_LR
         # no jump bigger than one ramp/decay increment anywhere
-        warmup_steps = round(self.CFG.warmup_ratio * total)
-        max_delta = max(
-            self.CFG.peak_lr / warmup_steps,
-            self.CFG.peak_lr / (total - warmup_steps),
-        )
+        warmup_steps = round(WARMUP_RATIO * total)
+        max_delta = max(PEAK_LR / warmup_steps, PEAK_LR / (total - warmup_steps))
         assert all(abs(b - a) <= max_delta + 1e-12 for a, b in zip(rates, rates[1:]))
-
-    def test_full_warmup_ratio(self):
-        cfg = TrainConfig(peak_lr=2.0, warmup_ratio=1.0)
-        assert warmup_schedule(0, 4, cfg) == 0.5
-        assert warmup_schedule(3, 4, cfg) == 2.0
 
 
 class TestTrainConfig:
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"peak_lr": 0.0},
             {"epochs": 0},
-            {"batch_size": 0},
-            {"warmup_ratio": 1.5},
             {"l2": 0.0},
             {"seed": -1},
-            {"peak_lr": math.nan},
-            {"peak_lr": math.inf},
             {"l2": math.nan},
             {"l2": math.inf},
             {"l2": -math.inf},
+            {"epochs": -1},
+            {"l2": -1.0},
+            {"l2": -0.0},
+            {"l2": -5e-324},
+            {"seed": -(2**63)},
         ],
     )
     def test_invalid(self, kwargs):
@@ -145,7 +141,7 @@ class TestTrainConfig:
             TrainConfig()._replace(**kwargs)
 
     def test_a_tuple_of_its_fields(self):
-        assert TrainConfig(epochs=2) == (0.1, 2, 4, 0.1, 5000, 1e-4)
+        assert TrainConfig(epochs=2) == (2, 5000, 1e-4)
         assert TrainConfig()._replace(seed=7).seed == 7
         assert TrainConfig._field_defaults["seed"] == 5000
 
@@ -207,11 +203,11 @@ class TestTrainLinearSvm:
         for previous, current in zip(history, history[1:]):
             assert current <= previous * 1.10
 
-    @pytest.mark.parametrize("l2", [1.0, 1.5, 4.0])
-    def test_shrink_factor_at_or_below_zero(self, l2):
-        """peak_lr * l2 >= 1 makes the factor 1 - lr * l2 reach 0 or go negative: the scale is folded in."""
+    @pytest.mark.parametrize("peak_shrink", [1.0, 1.5, 4.0])
+    def test_shrink_factor_at_or_below_zero(self, peak_shrink):
+        """PEAK_LR * l2 >= 1 makes the factor 1 - lr * l2 reach 0 or go negative: the scale is folded in."""
         features, labels = _separable_toy()
-        cfg = TrainConfig(peak_lr=1.0, l2=l2, epochs=3, seed=11)
+        cfg = TrainConfig(l2=peak_shrink / PEAK_LR, epochs=3, seed=11)
         model = train_linear_svm(features, labels, cfg)
         expected = ref.train_linear_svm(ref.vectors(features), labels, cfg)
         assert model.weights.tobytes() == expected.weights.tobytes()
@@ -226,11 +222,11 @@ class TestTrainLinearSvm:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(DataError, match="training diverged in epoch 1"):
-                train_linear_svm(features, labels, TrainConfig(peak_lr=1e300, epochs=3))
+                train_linear_svm(features, labels, TrainConfig(l2=1e297, epochs=3))
 
     def test_epoch_snapshots_are_the_folded_weights(self):
         features, labels = _separable_toy()
-        cfg = TrainConfig(peak_lr=0.5, l2=0.05, epochs=4, batch_size=3, seed=2)
+        cfg = TrainConfig(l2=0.25, epochs=4, seed=2)
         snapshots: list[LinearModel] = []
         model = train_linear_svm(features, labels, cfg, on_epoch_end=lambda _, snapshot: snapshots.append(snapshot))
         expected: list[np.ndarray] = []
@@ -242,13 +238,14 @@ class TestTrainLinearSvm:
     def test_bitwise_determinism_with_folds_and_shared_rows(self):
         """Pairs share rows, and l2 is high enough that the scale falls below 1e-9 and is folded mid-epoch."""
         rng = np.random.default_rng(8)
-        rows = [dict(zip(rng.choice(8, 3, replace=False).tolist(), rng.normal(size=3).tolist())) for _ in range(30)]
+        rows = [dict(zip(rng.choice(8, 3, replace=False).tolist(), rng.normal(size=3).tolist())) for _ in range(120)]
         features = _features(rows, 16)
         features.left, features.right = features.left[:-1], features.left[1:]  # pair i: side rows i and i + 1
         labels = [i % 2 for i in range(len(features))]
-        cfg = TrainConfig(peak_lr=0.9, l2=0.99, epochs=3, batch_size=1, seed=4)
-        factors = [1.0 - warmup_schedule(step, 3 * len(features), cfg) * cfg.l2 for step in range(len(features))]
-        assert math.prod(factors[:-1]) < 1e-9  # within the first epoch
+        cfg = TrainConfig(l2=8.91, epochs=3, seed=4)
+        steps = math.ceil(len(features) / BATCH_SIZE)
+        factors = [1.0 - warmup_schedule(step, 3 * steps) * cfg.l2 for step in range(steps)]
+        assert 0 < min(factors) and math.prod(factors[:-1]) < 1e-9  # within the first epoch
         a, b = train_linear_svm(features, labels, cfg), train_linear_svm(features, labels, cfg)
         assert a.weights.tobytes() == b.weights.tobytes() and a.bias.hex() == b.bias.hex()
         assert a.weights.tobytes() == ref.train_linear_svm(ref.vectors(features), labels, cfg).weights.tobytes()
@@ -268,7 +265,7 @@ class TestTrainLinearSvm:
         labels[flip] = 1 - labels[flip]
         features = _dense(rows)
 
-        cfg = TrainConfig(peak_lr=0.1, epochs=40, batch_size=8, seed=7)
+        cfg = TrainConfig(epochs=40, seed=7)
         model = train_linear_svm(features, labels, cfg)
         sgd_objective = hinge_objective(model, features, list(labels))
 
@@ -439,7 +436,6 @@ class TestPredict:
             (3, 1, 0, "tfidf-svc"),
             (9, 0, 1, "tfidf-svc"),
         ]
-        assert {r.source for r in predict(model, features, pairs, source="m")} == {"m"}
 
     def test_pair_count_mismatch(self):
         model = LinearModel(weights=np.zeros(2), bias=0.0, l2=1e-4)

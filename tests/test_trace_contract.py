@@ -1,11 +1,12 @@
 """The benchmark's traced run wraps styleseam functions by module attribute.
 
 `perfbench/layers.py` names, per module, the functions it wraps, and
-counts SGD steps through `model.warmup_schedule`. A rename, a move to
-another module or a call that bypasses the module namespace would make
-`--trace 1` fail or read zeros without any test noticing; these tests
-read the benchmark's tables and change nothing under `perfbench/`. Its
-`load_model` hook reads `.dimension` from what `load_model` returns.
+counts SGD steps through `model.warmup_schedule`, one call per batch of
+`model.BATCH_SIZE` pairs. A rename, a move to another module or a call
+that bypasses the module namespace would make `--trace 1` fail or read
+zeros without any test noticing; these tests read the benchmark's tables
+and change nothing under `perfbench/`. Its `load_model` hook reads
+`.dimension` from what `load_model` returns.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import sys
 
 import pytest
 
-from styleseam.model import TrainConfig
+from styleseam import model as model_mod
 
 PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 COUNTED = {"features": ("word_tokens",), "model": ("warmup_schedule",)}
@@ -69,9 +70,8 @@ def test_traced_train_counts_and_uninstall_restores(layers, modules, pan_fixture
     assert all(getattr(owner, attr) is original for (owner, attr), original in zip(owners, originals))
 
     traced = layers.metrics(state)
-    cfg = TrainConfig()
     pairs = 7  # easy/train of the bundled fixture
-    assert traced["model.sgd_steps"] == cfg.epochs * math.ceil(pairs / cfg.batch_size)
+    assert traced["model.sgd_steps"] == model_mod.TrainConfig().epochs * math.ceil(pairs / model_mod.BATCH_SIZE)
     assert traced["features.vocab_terms"] > 0
     assert trained["model.dimension"] == 2 * (trained["features.vocab_terms"] + 5)
     assert traced["model.dimension"] == trained["model.dimension"] > 0  # read off the model file predict loaded
