@@ -274,11 +274,10 @@ class ParagraphTable:
     def _blocks(self, vocab: Vocabulary) -> tuple[list[int], np.ndarray, np.ndarray]:
         """CSR (indptr, indices, values) of every row's side block, unshifted.
 
-        A block is the L2-normalized tf-idf weights by column (OOV terms
-        ignored), then the nonzero handcrafted counts at V + slot, scaled by
-        1 / (1 + word_count). Chunks of rows are built from the last one
-        back, and the table's entries are trimmed behind each, so the CSR and
-        the entries never coexist in full and temporaries stay small.
+        A block is the L2-normalized tf-idf weights by column (OOV terms ignored), then the nonzero handcrafted
+        counts at V + slot, scaled by 1 / (1 + word_count). A norm is `np.add.reduceat` of its row's squares, with
+        the bits of that row alone and no BLAS. Chunks of rows are built from the last one back, and the table's
+        entries are trimmed behind each, so the CSR and the entries never coexist in full and temporaries stay small.
         """
         self._compact()
         found = np.array([self._terms.get(term, -1) for term in vocab.terms], dtype=np.int64)  # column -> term id
@@ -300,10 +299,10 @@ class ParagraphTable:
             known = np.flatnonzero(cols >= 0)
             known = known[np.argsort(rows[known] * vocab.size + cols[known])]
             rows, cols, weights = rows[known], cols[known], counts[known] * vocab.idf_array[cols[known]]
-            bounds = np.searchsorted(rows, np.arange(last - first + 1)).tolist()
-            for start, stop in zip(bounds, bounds[1:]):
-                if stop > start:  # one dot per row, as for a lone vector, so the bits match
-                    weights[start:stop] /= math.sqrt(float(np.dot(weights[start:stop], weights[start:stop])))
+            starts = np.flatnonzero(np.diff(rows, prepend=-1))  # each nonempty row's first entry
+            norms = np.sqrt(np.add.reduceat(weights * weights, starts))
+            weights /= np.repeat(norms, np.diff(starts, append=rows.size))
+            bounds = np.searchsorted(rows, np.arange(last - first + 1))
             surface_rows, slots = np.nonzero(surface[first:last])
             order = np.argsort(np.concatenate((rows, surface_rows)), kind="stable")
             at = slice(end - order.size, end)

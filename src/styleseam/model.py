@@ -45,6 +45,7 @@ class EnsembleMode(str, Enum):
 PEAK_LR = 0.1
 BATCH_SIZE = 4
 WARMUP_RATIO = 0.1
+MAX_EPOCHS = 1000  # the most SGD passes `TrainConfig` takes, so that no epoch count trains for ever
 
 
 class _TrainFields(NamedTuple):
@@ -62,8 +63,8 @@ class TrainConfig(_TrainFields):
         self = super().__new__(cls, *args, **kwargs)
         if not (math.isfinite(self.l2) and self.l2 > 0):
             raise UsageError(f"l2 must be positive and finite, got {self.l2}")
-        if self.epochs < 1:
-            raise UsageError("epochs must be a positive integer")
+        if not 1 <= self.epochs <= MAX_EPOCHS:
+            raise UsageError(f"epochs must be an integer from 1 to {MAX_EPOCHS}")
         if self.seed < 0:
             raise UsageError(f"seed must be a non-negative integer, got {self.seed}")
         return self
@@ -134,10 +135,7 @@ def warmup_schedule(step: int, total_steps: int) -> float:
         raise UsageError("total_steps must be positive")
     if not 0 <= step < total_steps:
         raise UsageError(f"step {step} outside [0, {total_steps})")
-    try:
-        warmup_steps = round(WARMUP_RATIO * total_steps)
-    except OverflowError:
-        raise UsageError("too many training steps to take as a float; give fewer epochs") from None
+    warmup_steps = round(WARMUP_RATIO * total_steps)
     if step < warmup_steps:
         return PEAK_LR * (step + 1) / warmup_steps
     return PEAK_LR * (total_steps - step) / (total_steps - warmup_steps)
@@ -170,7 +168,7 @@ def _objective(model: LinearModel, margins: np.ndarray, labels: Sequence[int]) -
     with np.errstate(over="ignore", invalid="ignore"):
         y = np.where(np.asarray(labels) == 1, 1.0, -1.0)
         losses = np.fmax(0.0, 1.0 - y * margins)  # fmax: a NaN margin adds no loss
-        penalty = 0.5 * model.l2 * float(model.weights @ model.weights)
+        penalty = 0.5 * model.l2 * float(np.add.reduce(model.weights * model.weights))
     return penalty + float(np.cumsum(losses)[-1]) / len(labels)
 
 
@@ -191,11 +189,12 @@ def train_linear_svm(
 ) -> LinearModel:
     """Fit the linear SVM by seeded, bit-reproducible mini-batch subgradient descent.
 
-    Each step takes the pass's next k = BATCH_SIZE pairs (fewer at its end) at the rate lr of `warmup_schedule`.
-    It shrinks w by 1 - lr * l2; then each pair of the batch with y * (w . x + b) < 1, in
-    order, adds lr / k * y * x to w and lr / k * y to b. w is kept as scale * w, so a shrink is one
-    multiply; the scale is folded in when below 1e-9 (a factor <= 0 included) and at each epoch
-    end, before the divergence check and `on_epoch_end(epoch, snapshot)`.
+    A pass visits the pairs sorted by one draw each of a `random.Random(cfg.seed).random` stream, which the stdlib
+    keeps across versions, ties in index order. Each step takes its next k = BATCH_SIZE pairs (fewer at its end) at
+    the rate lr of `warmup_schedule`. It shrinks w by 1 - lr * l2; then each pair of the batch with y * (w . x + b) < 1,
+    in order, adds lr / k * y * x to w and lr / k * y to b; w . x is an `np.add.reduce` per side, not a BLAS dot. w
+    is scale * w, so a shrink is one multiply; the scale is folded in when below 1e-9 (a factor <= 0 included) and
+    at each epoch end, before the divergence check and `on_epoch_end(epoch, snapshot)`.
     """
     import numpy as np
     if len(features) != len(labels):
@@ -214,12 +213,13 @@ def train_linear_svm(
     ptr, idx, val, left, right = features.indptr, features.indices, features.values, features.left, features.right
     n = len(features)
     steps_per_epoch = (n + BATCH_SIZE - 1) // BATCH_SIZE
-    rng = np.random.default_rng(cfg.seed)
+    draw = random.Random(cfg.seed).random  # one stream for every pass
+    add, intp = np.add.reduce, np.intp  # bound once: the loop below runs once per pair per pass
 
     # An l2 too high overflows the weights to inf and NaN; the divergence check reports that, not numpy.
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(cfg.epochs):
-            order = rng.permutation(n).tolist()
+            order = sorted(range(n), key=lambda _: draw())
             for step, start in enumerate(range(0, n, BATCH_SIZE), epoch * steps_per_epoch):
                 batch = order[start : start + BATCH_SIZE]
                 lr = warmup_schedule(step, cfg.epochs * steps_per_epoch)
@@ -231,9 +231,9 @@ def train_linear_svm(
                 for i in batch:
                     a, z, c, d = ptr[left[i]], ptr[left[i] + 1], ptr[right[i]], ptr[right[i] + 1]
                     # intp: numpy gathers and scatters with int32 indices several times slower
-                    li, lv, ri, rv = idx[a:z].astype(np.intp), val[a:z], idx[c:d].astype(np.intp), val[c:d]
+                    li, lv, ri, rv = idx[a:z].astype(intp), val[a:z], idx[c:d].astype(intp), val[c:d]
                     wl, wr = w_left[li], w_right[ri]
-                    if y[i] * (scale * (float(wl.dot(lv)) + float(wr.dot(rv))) + b) < 1.0:
+                    if y[i] * (scale * (float(add(wl * lv)) + float(add(wr * rv))) + b) < 1.0:
                         update = rate * y[i] / scale
                         w_left[li] = wl + update * lv
                         w_right[ri] = wr + update * rv

@@ -6,15 +6,19 @@ as a CSR row that pairs share; its model reads pairs from those rows. These
 functions are the plain per-text vocabulary, the per-term, per-pair
 featurization of the fully tokenized and truncated pair, and a per-vector
 SGD and margin loop with the library's arithmetic; the differential tests
-require bit-identical output from both. `dense_shrink_train_linear_svm` is the SGD as it was
+require bit-identical output from both. Every sum is numpy's own reduction,
+as in the library, never a BLAS dot: a norm and a margin's side are
+`np.add.reduceat` of one vector's products, and the SGD's dot and the
+penalty `np.add.reduce`. `dense_shrink_train_linear_svm` is the SGD as it was
 before its weights carried a scale: the same descent, equal up to rounding.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -83,7 +87,7 @@ def tfidf_vector(text: str, vocab: Vocabulary) -> Vector:
     # Smoothed idf: finite and positive even when df == N.
     idf = {c: math.log((1 + vocab.document_count) / (1 + int(vocab.doc_freq[c]))) + 1.0 for c in cols}
     weights = np.array([counts[c] * idf[c] for c in cols], dtype=np.float64)
-    weights /= math.sqrt(float(np.dot(weights, weights)))
+    weights /= math.sqrt(side_sum(weights * weights))
     return Vector(indices=cols, values=weights, dimension=vocab.size)
 
 
@@ -153,13 +157,20 @@ def _sides(vec: Vector) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     return vec.indices[left], vec.values[left], vec.indices[~left] - half, vec.values[~left]
 
 
+def pass_orders(n: int, seed: int) -> Iterator[list[int]]:
+    """Each SGD pass's order of pairs 0..n-1: sorted by one draw each from one `random.Random(seed).random` stream."""
+    draw = random.Random(seed).random
+    while True:
+        yield sorted(range(n), key=lambda _: draw())
+
+
 def train_linear_svm(
     features: Sequence[Vector], labels: Sequence[int], cfg: TrainConfig, snapshots: list[np.ndarray] | None = None
 ) -> LinearModel:
     """Mini-batch subgradient descent, one gathered vector per visit, as the library's SGD.
 
-    The weights are scale * w, and a margin is the sum of one dot per side
-    block. `snapshots` receives a copy of the weights at each epoch end.
+    Each pass visits the pairs in the order of `pass_orders`. The weights are scale * w, and a margin
+    is the sum of one dot per side block. `snapshots` receives a copy of the weights at each epoch end.
     """
     y = [1.0 if label == 1 else -1.0 for label in labels]
     w = np.zeros(features[0].dimension)
@@ -167,10 +178,10 @@ def train_linear_svm(
     b, scale = 0.0, 1.0
     n = len(features)
     total_steps = cfg.epochs * ((n + BATCH_SIZE - 1) // BATCH_SIZE)
-    rng = np.random.default_rng(cfg.seed)
+    orders = pass_orders(n, cfg.seed)
     step = 0
     for _ in range(cfg.epochs):
-        order = rng.permutation(n)
+        order = next(orders)
         for start in range(0, n, BATCH_SIZE):
             batch = order[start : start + BATCH_SIZE]
             lr = warmup_schedule(step, total_steps)
@@ -181,7 +192,7 @@ def train_linear_svm(
             rate = lr / len(batch)
             for i in batch:
                 li, lv, ri, rv = _sides(features[i])
-                dot = float(w[li] @ lv) + float(w[half + ri] @ rv)
+                dot = float(np.add.reduce(w[li] * lv)) + float(np.add.reduce(w[half + ri] * rv))
                 if y[i] * (scale * dot + b) < 1.0:
                     w[li] += (rate * y[i] / scale) * lv
                     w[half + ri] += (rate * y[i] / scale) * rv
@@ -201,10 +212,10 @@ def dense_shrink_train_linear_svm(features: Sequence[Vector], labels: Sequence[i
     b = 0.0
     n = len(features)
     total_steps = cfg.epochs * ((n + BATCH_SIZE - 1) // BATCH_SIZE)
-    rng = np.random.default_rng(cfg.seed)
+    orders = pass_orders(n, cfg.seed)
     step = 0
     for _ in range(cfg.epochs):
-        order = rng.permutation(n)
+        order = next(orders)
         for start in range(0, n, BATCH_SIZE):
             batch = order[start : start + BATCH_SIZE]
             lr = warmup_schedule(step, total_steps)
@@ -212,7 +223,7 @@ def dense_shrink_train_linear_svm(features: Sequence[Vector], labels: Sequence[i
             scale = lr / len(batch)
             for i in batch:
                 vec = features[i]
-                margin = y[i] * (float(w[vec.indices] @ vec.values) + b)
+                margin = y[i] * (float(np.add.reduce(w[vec.indices] * vec.values)) + b)
                 if margin < 1.0:
                     w[vec.indices] += scale * y[i] * vec.values
                     b += scale * y[i]
@@ -236,7 +247,7 @@ def hinge_objective(model: LinearModel, features: Sequence[Vector], labels: Sequ
     for vec, label in zip(features, labels):
         y = 1.0 if label == 1 else -1.0
         total += max(0.0, 1.0 - y * margin(model, vec))
-    penalty = 0.5 * model.l2 * float(model.weights @ model.weights)
+    penalty = 0.5 * model.l2 * float(np.add.reduce(model.weights * model.weights))
     return penalty + total / len(labels)
 
 

@@ -10,10 +10,12 @@ from pathlib import Path
 import pytest
 
 from styleseam import cli, corpus
+from styleseam.model import MAX_EPOCHS
 from synthdata import generate_corpus
 
 
 NEGATIVE_SEED = "seed must be a non-negative integer, got -1"
+EPOCHS_OUT_OF_RANGE = f"epochs must be an integer from 1 to {MAX_EPOCHS}"
 
 
 def run_cli(capsys, *args: str) -> tuple[int, str]:
@@ -137,6 +139,10 @@ class TestTrain:
             pytest.param("train", ["--seed", "-1"], NEGATIVE_SEED, id="train-seed"),
             pytest.param("train", {"seed": -1}, NEGATIVE_SEED, id="train-config-seed"),
             pytest.param("random-baseline", ["--seed", "-1"], NEGATIVE_SEED, id="random-baseline-seed"),
+            # A count that would train for ever, so the test finishes only if train rejects it before it starts.
+            pytest.param("train", ["--epochs", str(2**63)], EPOCHS_OUT_OF_RANGE, id="train-epochs-2**63"),
+            pytest.param("train", {"epochs": 2**63}, EPOCHS_OUT_OF_RANGE, id="train-config-epochs-2**63"),
+            pytest.param("train", ["--epochs", str(MAX_EPOCHS + 1)], EPOCHS_OUT_OF_RANGE, id="train-epochs-above-cap"),
         ],
     )
     def test_bad_setting_is_exit_2(self, capsys, caplog, pan_fixture, tmp_path, command, settings, message):
@@ -154,7 +160,7 @@ class TestTrain:
 
     @pytest.mark.parametrize("route", ["flag", "config"])
     def test_epochs_too_many_for_a_float_is_exit_2(self, capsys, caplog, pan_fixture, tmp_path, route):
-        epochs = "1" + "0" * 400  # its step count overflows the float of the warmup schedule
+        epochs = "1" + "0" * 400  # its step count would overflow the float of the warmup schedule; above MAX_EPOCHS
         settings = ["--epochs", epochs]
         if route == "config":
             (tmp_path / "run.json").write_text(f'{{"epochs": {epochs}}}')
@@ -163,7 +169,7 @@ class TestTrain:
         code, _ = run_cli(capsys, "train", "--dataset-root", pan_fixture, "--difficulty", "easy", *settings, "--out", out)
         errors = [r for r in caplog.records if r.levelno >= logging.ERROR]
         assert code == 2
-        assert [r.getMessage() for r in errors] == ["too many training steps to take as a float; give fewer epochs"]
+        assert [r.getMessage() for r in errors] == [EPOCHS_OUT_OF_RANGE]
         assert errors[0].exc_info is None
         assert not out.exists()
 

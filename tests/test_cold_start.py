@@ -6,7 +6,7 @@ documents or exchange predictions (`stats`, `random-baseline`, `ensemble`,
 numpy, which is most of the package's import time, and without
 `dataclasses`, which no module of the package imports: its records are
 `NamedTuple`s or small `__slots__` classes, which cost no class-body
-machinery at start-up.
+machinery at start-up. `train` and `predict` never load `numpy.random`.
 """
 
 from __future__ import annotations
@@ -114,6 +114,18 @@ def test_train_and_predict_load_numpy_and_succeed(synth_corpus, tmp_path):
         loads_numpy=True,
     )
     assert len(list(out.glob("solution-problem-*.json"))) == 50
+
+
+def test_train_and_predict_leave_numpy_random_unloaded(pan_fixture, tmp_path):
+    """The SGD draws its order from the stdlib's `random`, so `numpy.random`, train's largest import, stays out."""
+    dataset = ["--dataset-root", str(pan_fixture), "--difficulty", "easy"]
+    train = ["train", *dataset, "--out", str(tmp_path)]
+    predict = ["predict", *dataset, "--split", "validation", "--model", str(tmp_path / cli.MODEL_FILENAME),
+               "--out", str(tmp_path / "pred")]
+    run_fresh(
+        f"import sys, styleseam.cli as c; assert c.main({train!r}) == 0 and c.main({predict!r}) == 0; "
+        "assert 'numpy' in sys.modules and 'numpy.random' not in sys.modules"
+    )
 
 
 def test_every_export_resolves():
